@@ -42,46 +42,6 @@ SCALING_CPUS = tuple(
     int(x) for x in os.environ.get("GRAFT_SCALING_CPUS", "4,16").split(",")
 )
 
-# BASELINE.md's recorded healthy-host suite run (round-3 close-out,
-# commit a28be24): the yardstick every fresh suite run is normalized
-# against.  Calibration scales wall time ~linearly on this VM, so
-# vs_baseline_calib_norm = (total / sec) / (calib / calib_ref); ~1.0
-# means parity with the recorded run after host-speed correction.
-BASELINE_SUITE = {"sec": 48.0, "calib": 1.06, "entries": 30}
-
-# Per-entry recorded baseline (round-4 driver run, BENCH_r04.json, calib
-# 1.027): the SHARED-ENTRY regression guard.  The whole-suite ratio above
-# compares different entry SETS as the suite grows (the round-4 verdict
-# flagged a 47-entry suite printing "1.41x vs the 30-entry recording"),
-# so the guard below compares only entries present in BOTH runs,
-# calib-normalized: vs_baseline_shared = (sum cur[shared] / calib_cur)
-# / (sum base[shared] / calib_base).  Per-entry ratios are emitted so a
-# single regressed entry can't hide inside the sum either.
-BASELINE_ENTRY_CALIB = 1.027
-BASELINE_ENTRIES = {
-    "kg_extract_e2e": 0.685, "kg_construct_e2e": 5.025, "tpch_q1": 0.923,
-    "mktsegment_revenue": 1.045, "supplier_balance_by_region": 1.152,
-    "events_hourly": 0.795, "events_sessions": 0.396,
-    "events_user_topk": 1.223, "token_stats": 0.741, "langid": 0.433,
-    "exact_dedup": 0.869, "minhash_dup_docs": 1.544,
-    "simhash_dup_docs": 0.95, "embed_knn": 0.578, "knn_ivf": 0.712,
-    "embed_dup_bucketed": 0.576, "kg_link_edges": 0.493,
-    "events_asof": 1.281, "customers_no_orders": 1.045,
-    "doc_quality": 0.349, "tfidf_topk": 1.101, "pack_offsets": 1.32,
-    "lm_score": 0.812, "events_retention": 0.436,
-    "orders_large_baskets": 2.095, "tpch_q13": 0.937,
-    "basket_pairs": 0.996, "dup_span_stats": 1.824,
-    "events_window_join": 0.361, "part_supplier_pagerank": 0.887,
-    "skew_chaos": 1.726, "dsir_weights": 1.034, "lm3_score": 1.677,
-    "cross_dup_docs": 1.77, "supplier_part_hits": 0.725,
-    "customer_linkage_scores": 1.067, "docs_nb_confusion": 2.147,
-    "events_viterbi": 0.36, "customer_fuzzy_pairs": 1.07,
-    "doc_containment_pairs": 3.172, "part_als_factors": 4.46,
-    "events_auc": 1.471, "orders_cdc_apply": 1.662,
-    "events_session_join": 1.08, "source_shapley": 1.158,
-    "term_doc_spectral": 2.215, "curation_e2e": 5.131,
-}
-
 # queries() entries that form the representative suite (beyond the headline)
 SUITE = [
     "tpch_q1",
@@ -348,35 +308,6 @@ def main() -> int:
     # Round-2 verdict item 8 (literal form): a suite JSON without a
     # usable host calibration is uninterpretable on this VM — refuse.
     assert calib and calib > 0, "host calibration missing/zero; no suite JSON"
-    norm = (total / BASELINE_SUITE["sec"]) / (calib / BASELINE_SUITE["calib"])
-    print(
-        f"# calib-normalized vs BASELINE.md recorded run "
-        f"({BASELINE_SUITE['sec']}s @ calib {BASELINE_SUITE['calib']}, "
-        f"{BASELINE_SUITE['entries']} entries): {norm:.2f}x",
-        file=sys.stderr,
-    )
-    # shared-entry regression guard (VERDICT r4 item 5): compare ONLY the
-    # entries present in both this run and the recorded per-entry
-    # baseline, calib-normalized, and emit per-entry ratios
-    shared = [n for n in times
-              if n in BASELINE_ENTRIES and times[n] > 0]
-    cfac = calib / BASELINE_ENTRY_CALIB
-    shared_ratio = (
-        sum(times[n] for n in shared)
-        / (sum(BASELINE_ENTRIES[n] for n in shared) * cfac)
-    ) if shared else None
-    entry_ratios = {
-        n: round(times[n] / (BASELINE_ENTRIES[n] * cfac), 2)
-        for n in shared
-    }
-    if shared_ratio is not None:
-        worst = max(entry_ratios, key=entry_ratios.get)
-        print(
-            f"# shared-entry calib-normalized vs BENCH_r04 "
-            f"({len(shared)} shared): {shared_ratio:.2f}x "
-            f"(worst {worst}: {entry_ratios[worst]:.2f}x)",
-            file=sys.stderr,
-        )
     print(json.dumps({
         "metric": "kg-construction e2e + query suite wall time",
         "value": round(total, 3),
@@ -387,11 +318,6 @@ def main() -> int:
         "triples": triples,
         "triples_per_sec": round(triples / kg_sec, 1),
         "host_calib_matmul_s": calib,
-        "vs_baseline_calib_norm": round(norm, 3),
-        "vs_baseline_shared_entries": (
-            round(shared_ratio, 3) if shared_ratio is not None else None),
-        "shared_entry_count": len(shared),
-        "entry_ratios_vs_baseline": entry_ratios,
     }))
     import ray
 

@@ -74,6 +74,15 @@ def _row_hashes(df: pd.DataFrame) -> np.ndarray:
         )
 
 
+def _hash_sum_mod(h: np.ndarray) -> int:
+    """Exact (sum of uint64 row hashes) mod ``_MOD``: the 32-bit halves
+    sum without wrapping below 2^32 rows, so the result does not depend
+    on how the rows were split into files, batches or appends."""
+    lo = int((h & np.uint64(0xFFFFFFFF)).sum(dtype=np.uint64))
+    hi = int((h >> np.uint64(32)).sum(dtype=np.uint64))
+    return ((hi << 32) + lo) % _MOD
+
+
 def _zone_min_max(col, name: str):
     """(min, max) of a stats column as JSON-encodable scalars.
 
@@ -174,12 +183,13 @@ def _schema_from_b64(s: str) -> pa.Schema:
 class _WriteSlices:
     """Single-pass partitioned writer: each task writes its batch's
     partition slices to uuid-named parquet files under ``part=<p>/`` and
-    emits one tiny stat row per (batch, partition) — rows, bytes, a
-    wrapping-uint64 content hash (commutative, so batch boundaries don't
-    matter) and the file name.  The manifest lists exactly the files the
-    surviving task attempts reported; a retried task's orphaned first
-    attempt is never read (read_table reads manifest-attested files only)
-    and is deleted by the next write's hygiene pass.
+    emits one tiny stat row per (batch, partition) — rows, bytes, the
+    slice's row-hash sum mod 2^61-1 (exact and commutative, so batch
+    boundaries don't matter) and the file name.  The manifest lists
+    exactly the files the surviving task attempts reported; a retried
+    task's orphaned first attempt is never read (read_table reads
+    manifest-attested files only) and is deleted by the next write's
+    hygiene pass.
 
     Deployment note: ``data_dir`` is opened with plain ``open()`` from
     inside map_batches tasks, so every worker must see the same
@@ -233,7 +243,7 @@ class _WriteSlices:
             out["part"].append(p)
             out["rows"].append(hi - lo)
             out["bytes"].append(os.path.getsize(fpath))
-            out["content"].append(int(h[idx].sum(dtype=np.uint64)))
+            out["content"].append(_hash_sum_mod(h[idx]))
             out["file"].append(f"{PART_COL}={p}/{fname}")
             for c in self.stats_cols:
                 lo_v, hi_v = _zone_min_max(slice_tbl[c], c)
@@ -401,11 +411,8 @@ def write_partitioned(
             e.setdefault("files", [])
             e["rows"] = int(e["rows"]) + int(g["rows"].sum())
             e["bytes"] = int(e["bytes"]) + int(g["bytes"].sum())
-            e["content_hash"] = int(
-                (np.uint64(e.get("content_hash", 0) % _MOD)
-                 + g["content"].to_numpy(np.uint64).sum(dtype=np.uint64))
-                % np.uint64(_MOD)
-            )
+            e["content_hash"] = (int(e.get("content_hash", 0)) + sum(
+                int(c) for c in g["content"])) % _MOD
             e["files"] = sorted(set(e["files"]) | set(g["file"]))
             for c in stats_cols:
                 mins = [json.loads(v) for v in g[f"zmin_{c}"]]
@@ -1279,9 +1286,11 @@ def write_zordered(
 def read_parquet_clean(path, columns: list[str] | None = None, **kwargs):
     """``ray.data.read_parquet`` with the file's pandas schema metadata
     stripped (its dict payload makes block schemas unhashable and every
-    operator then logs "Failed to hash the schemas").  Falls back to a
-    plain read when the footer can't be inspected (directories of
-    mixed-written files)."""
+    operator then logs "Failed to hash the schemas").  A directory scans
+    with the union of its files' footer schemas (footers only, no data
+    pass), so a column present in only some files is kept and null-filled
+    elsewhere.  Falls back to a plain read when the footers can't be
+    inspected or unified."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -1293,14 +1302,22 @@ def read_parquet_clean(path, columns: list[str] | None = None, **kwargs):
             .map_batches(lambda b: b.replace_schema_metadata(None),
                          batch_format="pyarrow")
     try:
-        fpath = path
-        if os.path.isdir(path):  # ray-written dir: footer of one file
-            files = sorted(
-                f for f in os.listdir(path) if f.endswith(".parquet"))
-            fpath = os.path.join(path, files[0])
-        sch = pq.read_schema(fpath).remove_metadata()
+        files = [path]
+        if os.path.isdir(path):  # ray-written dir: every file's footer
+            files = [os.path.join(path, f) for f in sorted(os.listdir(path))
+                     if f.endswith(".parquet")]
+        footers = [pq.read_schema(f).remove_metadata() for f in files]
+        sch = pa.unify_schemas(footers)
         if columns:
-            sch = pa.schema([sch.field(c) for c in columns])
+            proj = pa.schema([sch.field(c) for c in columns])
     except Exception:
         return rd.read_parquet(path, columns=columns, **kwargs)
-    return rd.read_parquet(path, columns=columns, schema=sch, **kwargs)
+    if not columns:
+        return rd.read_parquet(path, schema=sch, **kwargs)
+    if all(c in f.names for f in footers for c in columns):
+        return rd.read_parquet(path, columns=columns, schema=proj, **kwargs)
+    # a requested column is missing from some file: Ray's file-level
+    # projection would fail on it, so scan with the unified schema
+    # (null-filling) and project after
+    return rd.read_parquet(path, schema=sch, **kwargs) \
+        .select_columns(list(columns))

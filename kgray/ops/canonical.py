@@ -27,24 +27,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def _edges_symmetric(edges):
-    """(u,v) -> both directions (src, dst)."""
-
-    def both(batch: pa.Table) -> pa.Table:
-        def _c(col):
-            return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-        u, v = _c(batch["u"]), _c(batch["v"])
-        return pa.table(
-            {
-                "src": pa.concat_arrays([u, v]),
-                "dst": pa.concat_arrays([v, u]),
-            }
-        )
-
-    return edges.map_batches(both, batch_format="pyarrow")
-
-
 # Cogroup rows carry (node, val, is_edge) with NO nulls: edge rows hold
 # val=dst, label rows hold val=label.  The node dtype flows through
 # untouched (string mention keys AND int64 doc ids both work — a
@@ -103,30 +85,26 @@ def _propagate_bucket(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"node": out_nodes, "label": out_labels})
 
 
-def _cc_driver_unionfind(edges_mat):
-    """Union-find over a materialized small edge set, on the driver.
+def _cc_driver_unionfind(cat: pa.Table):
+    """Union-find over a collected small (u, v) edge table, on the
+    driver.
 
-    O(E alpha(E)) with one collect of the (u, v) columns — the same
-    small-side gate as a broadcast join.  Exactly the distributed
-    semantics: component = lexicographic-min node id, edge-less nodes
-    omitted."""
-    import ray
+    O(E alpha(E)) — the same small-side gate as a broadcast join.
+    Exactly the distributed semantics: component = lexicographic-min
+    node id, edge-less nodes omitted."""
     import ray.data as rd
 
-    # node dtype follows the edge key dtype (string mentions, int doc ids)
-    try:
-        node_type = edges_mat.schema().base_schema.field("u").type
-    except Exception:
-        node_type = pa.string()
-    tbls = [t for t in ray.get(edges_mat.to_arrow_refs()) if t.num_rows]
-    if not tbls:
+    # node dtype follows the edge key dtype (string mentions, int doc
+    # ids); a schema-less empty edge set falls back to string keys
+    node_type = cat.schema.field("u").type if "u" in cat.column_names \
+        else pa.string()
+    if not cat.num_rows:
         return rd.from_arrow(
             pa.table(
                 {"node": pa.array([], node_type),
                  "component": pa.array([], node_type)}
             )
         )
-    cat = pa.concat_tables([t.select(["u", "v"]) for t in tbls])
     u = cat["u"].to_pandas().to_numpy(object)
     v = cat["v"].to_pandas().to_numpy(object)
     ids, idx = np.unique(np.concatenate([u, v]), return_inverse=True)
@@ -172,12 +150,14 @@ def connected_components(edges, max_rounds: int = 10,
     barriers per MapReduce round cost seconds even for 42 edges); above
     it the min-label-propagation rounds below are the 100-TB path.
     """
-    edges_mat = edges.materialize()
-    from kgray.util import gate
+    from kgray.ops.graph import _symmetric
+    from kgray.util import collect_small
 
-    if edges_mat.count() <= gate(max_driver_edges):
-        return _cc_driver_unionfind(edges_mat)
-    sym = _edges_symmetric(edges_mat).materialize()
+    edges_mat = edges.materialize()
+    small = collect_small(edges_mat, max_rows=max_driver_edges)
+    if small is not None:
+        return _cc_driver_unionfind(small)
+    sym = _symmetric(edges_mat).materialize()
     edge_part = sym.map_batches(_edge_rows, batch_format="pyarrow")
 
     # round 0 labels: own node id (derived from edge endpoints)
@@ -307,8 +287,11 @@ def canonicalize_triples(triples, entity_map, num_partitions: int = 16,
 
     keyed = triples.map_batches(add_keys, batch_format="pyarrow")
 
-    map_rows = entity_map.count() if entity_map is not None else 0
-    if map_rows == 0:
+    from kgray.util import collect_small
+
+    emap = pa.table({}) if entity_map is None else \
+        collect_small(entity_map, max_rows=broadcast_limit)
+    if emap is not None and emap.num_rows == 0:
         # no linked entities: canonical id = own surface key
         def identity(batch: pa.Table) -> pa.Table:
             out = batch.drop_columns(["s_key", "o_key"])
@@ -318,9 +301,7 @@ def canonicalize_triples(triples, entity_map, num_partitions: int = 16,
 
         return keyed.map_batches(identity, batch_format="pyarrow")
 
-    from kgray.util import gate
-
-    if map_rows <= gate(broadcast_limit):
+    if emap is not None:
         # Broadcast path in ONE map-only stage: the map is collected once,
         # ray.put once, and each batch resolves BOTH sides with vectorized
         # Arrow index_in + take + coalesce — no per-stage block rebuilds,
@@ -328,12 +309,6 @@ def canonicalize_triples(triples, entity_map, num_partitions: int = 16,
         # finalize stage, each re-collecting/rebuilding).
         import ray
 
-        if hasattr(entity_map, "to_arrow_refs"):
-            parts = [ray.get(r) for r in entity_map.to_arrow_refs()]
-            parts = [p for p in parts if p.num_rows] or parts[:1]
-            emap = pa.concat_tables(parts, promote_options="default")
-        else:
-            emap = entity_map
         nodes = emap["node"].combine_chunks()
         comps = pc.cast(emap["component"].combine_chunks(), pa.string())
         map_ref = ray.put((nodes, comps))

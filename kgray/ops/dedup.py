@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import gate
+from kgray.util import collect_small, collect_table, fits_small
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,9 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
     with Jaccard(token sets) >= tau, from an inverted-index explode.
 
     ``exploded``: (shingle, doc) rows — one row per (token, item);
-    ``counts``: (doc, nsh) — per-item DISTINCT token count;
-    ``n_items``: item count (drives the broadcast-vs-distributed gate).
+    ``counts``: (doc, nsh) — per-item DISTINCT token count, one row per
+    item (its row count drives the broadcast-vs-distributed gate);
+    ``n_items``: item count (0 short-circuits to a typed empty result).
     Shared by word-n-gram near-dup (ngram_jaccard_pairs) and graph
     adjacency link prediction (common-neighbor Jaccard), which is the
     same computation with (item=node, token=neighbor).
@@ -198,7 +199,7 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
 
     # coarse-bucket cogroup (ONE fn call per bucket, per-shingle grouping
     # vectorized inside) — per-tiny-group map_groups overhead is 100x
-    from kgray.util import gate, grouped_map, round_half_up
+    from kgray.util import grouped_map, round_half_up
 
     partials = grouped_map(exploded, "shingle", bucket_pairs,
                            num_buckets=num_buckets)
@@ -250,13 +251,11 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
             "v": pa.array([], pa.int64()),
             val: pa.array([], pa.float64()),
         }))
-    if n_items <= gate(max_broadcast_count_rows):
+    counts = counts.materialize()  # gate count + collect/cogroups reuse it
+    counts_tbl = collect_small(counts, max_rows=max_broadcast_count_rows)
+    if counts_tbl is not None:
         import ray
 
-        parts = [ray.get(r) for r in counts.to_arrow_refs()]
-        counts_tbl = pa.concat_tables(
-            [p for p in parts if p.num_rows] or parts[:1]
-        )
         nsh_of = pd.Series(
             counts_tbl["nsh"].to_numpy(zero_copy_only=False),
             index=counts_tbl["doc"].to_numpy(zero_copy_only=False),
@@ -375,37 +374,6 @@ def _verify_pairs_exact(us, vs, ta, tb, tau: float):
     return ku, kv, js
 
 
-def _collect_id_text(docs, id_col: str, text_col: str):
-    """Materialize a small docs Dataset's (id, text) columns to the driver
-    (callers gate on estimated size first)."""
-    import ray
-
-    proj = docs.map_batches(
-        lambda b: pa.table({"doc": b[id_col].cast(pa.int64()),
-                            "text": b[text_col]}),
-        batch_format="pyarrow",
-    )
-    parts = [ray.get(r) for r in proj.to_arrow_refs()]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return np.array([], np.int64), []
-    tbl = pa.concat_tables(parts, promote_options="default")
-    return (tbl["doc"].to_numpy(zero_copy_only=False),
-            tbl["text"].to_pylist())
-
-
-def _collect_arrow(ds) -> pa.Table | None:
-    """Collect a (small by construction) Dataset's blocks to one Arrow
-    table; None when every block is empty."""
-    import ray
-
-    parts = [ray.get(r) for r in ds.to_arrow_refs()]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return None
-    return pa.concat_tables(parts, promote_options="default")
-
-
 def _driver_minhash_pairs(banded_df: pd.DataFrame, text_of: dict,
                           tau: float, max_block: int) -> pa.Table:
     """Pair-gen + exact-Jaccard verify of collected band rows in-process —
@@ -483,34 +451,33 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
                                   concurrency=concurrency)
 
     max_block = 128
+    texts_ds = docs.map_batches(
+        lambda b: pa.table({"doc": b[id_col].cast(pa.int64()),
+                            "text": b[text_col]}),
+        batch_format="pyarrow",
+    )
 
-    if broadcast_texts is None:
-        est0 = docs.size_bytes()
-        if est0 is not None and est0 <= gate(max_driver_bytes):
-            # Small-side gate: signatures/banding stay DISTRIBUTED (they
-            # fuse with the read); only the tiny band rows (n_docs x bands
-            # x 16B) and the gated texts are collected, and the pair-gen +
-            # verify shuffles are replaced by one in-process call.
-            ids, texts = _collect_id_text(docs, id_col, text_col)
-            bt = _collect_arrow(banded)
-            df = (
-                pd.DataFrame(
-                    {
-                        "band_key": bt["band_key"].to_numpy(
-                            zero_copy_only=False
-                        ),
-                        "doc": bt["doc"].to_numpy(zero_copy_only=False),
-                    }
-                )
-                if bt is not None
-                else pd.DataFrame({"band_key": [], "doc": []})
+    if broadcast_texts is None and fits_small(docs,
+                                              max_bytes=max_driver_bytes):
+        # Small-side gate: signatures/banding stay DISTRIBUTED (they
+        # fuse with the read); only the tiny band rows (n_docs x bands
+        # x 16B) and the gated texts are collected, and the pair-gen +
+        # verify shuffles are replaced by one in-process call.
+        tt = collect_table(texts_ds)
+        bt = collect_table(banded)
+        df = (
+            pd.DataFrame(
+                {c: bt[c].to_numpy(zero_copy_only=False)
+                 for c in ("band_key", "doc")}
             )
-            return rd.from_arrow(
-                _driver_minhash_pairs(
-                    df, dict(zip(np.asarray(ids).tolist(), texts)),
-                    tau, max_block,
-                )
-            )
+            if bt.num_rows
+            else pd.DataFrame({"band_key": [], "doc": []})
+        )
+        text_of = dict(zip(tt["doc"].to_pylist(), tt["text"].to_pylist())) \
+            if tt.num_rows else {}
+        return rd.from_arrow(
+            _driver_minhash_pairs(df, text_of, tau, max_block)
+        )
 
     from ray.data.aggregate import Count
 
@@ -519,14 +486,8 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
     def _verify_rows(us, vs, ta, tb):
         return _verify_pairs_exact(us, vs, ta, tb, tau)
 
-    texts_ds = docs.map_batches(
-        lambda b: pa.table({"doc": b[id_col].cast(pa.int64()),
-                            "text": b[text_col]}),
-        batch_format="pyarrow",
-    )
     if broadcast_texts is None:
-        est = docs.size_bytes()
-        broadcast_texts = est is not None and est <= gate(max_broadcast_bytes)
+        broadcast_texts = fits_small(docs, max_bytes=max_broadcast_bytes)
     if broadcast_texts:
         # Fused path: pair-gen + in-bucket dedup + exact-Jaccard verify all
         # inside the ONE band-bucket cogroup (texts reach workers as a
@@ -538,10 +499,7 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
         import ray
         from ray.data.aggregate import Max
 
-        parts = [ray.get(r) for r in texts_ds.to_arrow_refs()]
-        texts_tbl = pa.concat_tables(
-            [p for p in parts if p.num_rows] or parts[:1]
-        ).combine_chunks()
+        texts_tbl = collect_table(texts_ds).combine_chunks()
         tbl_ref = ray.put(texts_tbl)
 
         def bucket_verify(df):
@@ -798,17 +756,16 @@ def simhash_dup_pairs(docs, max_hamming: int = 3, text_col: str = "text",
 
     blocked = docs.map_batches(sig_rows, batch_format="pyarrow")
 
-    est = docs.size_bytes()
-    if est is not None and est <= gate(max_driver_bytes):
+    if fits_small(docs, max_bytes=max_driver_bytes):
         # Small-side gate: signatures stay DISTRIBUTED (fused with the
         # read); only the tiny block rows (n_docs x 4 x 24B) are collected
         # and the two shuffle barriers become one in-process call.
         import ray.data as rd
 
-        bt = _collect_arrow(blocked)
+        bt = collect_table(blocked)
         df = (
             bt.to_pandas()
-            if bt is not None
+            if bt.num_rows
             else pd.DataFrame({"block": [], "doc": [], "sig": []})
         )
         pairs = _simhash_bucket_pairs(df, max_hamming, max_block)
@@ -957,10 +914,12 @@ def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
     """
     import ray
 
+    small = None
     if strategy == "auto":
         from kgray.util import force_distributed
 
-        if embeddings.count() <= gate(max_brute_rows):
+        small = collect_small(embeddings, max_rows=max_brute_rows)
+        if small is not None:
             strategy = "brute"
         else:
             strategy = "blocked" if force_distributed() else "ivf"
@@ -974,20 +933,11 @@ def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
             max_block,
         )
 
-    tbl = embeddings.to_arrow_refs()
-    mats = []
-    ids = []
-    for ref in tbl:
-        t = ray.get(ref)
-        if t.num_rows == 0:
-            continue
-        m = np.vstack(
-            [np.asarray(x, np.float64) for x in t[vec_col].to_pylist()]
-        )
-        mats.append(m)
-        ids.append(np.asarray(t[id_col].to_pylist(), np.int64))
-    full = np.vstack(mats)
-    full_ids = np.concatenate(ids)
+    t = small if small is not None else collect_table(embeddings)
+    full = np.vstack(
+        [np.asarray(x, np.float64) for x in t[vec_col].to_pylist()]
+    )
+    full_ids = np.asarray(t[id_col].to_pylist(), np.int64)
     norms = np.linalg.norm(full, axis=1, keepdims=True)
     full_n = full / np.where(norms == 0, 1, norms)
     ref_mat = ray.put((full_ids, full_n))
@@ -1307,11 +1257,12 @@ def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
         .aggregate(Sum("df", alias_name="df"))
     )
     dup_ds = df_tbl.filter(expr="df >= 2").materialize()  # shingle-vocab
-    if dup_ds.count() > gate(max_broadcast):
+    dup_tbl = collect_small(dup_ds, max_rows=max_broadcast)
+    if dup_tbl is None:
         return _dup_ngram_stats_distributed(
             docs, dup_ds, n, text_col, id_col, digits
         )
-    dup = dup_ds.to_pandas()
+    dup = dup_tbl.to_pandas()
     dup_set = pa.array(dup["g"].astype(str), pa.string())
     dup_ref = ray.put(dup_set)
 
@@ -1653,7 +1604,7 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
     import ray
     from ray.data.aggregate import Sum
 
-    from kgray.util import gate, grouped_map, round_half_up
+    from kgray.util import grouped_map, round_half_up
 
     def tok_partial(batch: pa.Table) -> pa.Table:
         g = (
@@ -1669,7 +1620,8 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
         .aggregate(Sum("n", alias_name="n"))
         .materialize()
     )
-    if freq_ds.count() > gate(max_broadcast_vocab):
+    freq_tbl = collect_small(freq_ds, max_rows=max_broadcast_vocab)
+    if freq_tbl is None:
         # vocab too large to broadcast the rank order — auto-fall back
         # to the inverted-index path, which needs no global token order
         # (counts/n_items derived here; exploded may carry duplicate
@@ -1690,7 +1642,7 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
         return set_jaccard_pairs(
             exploded, counts, n_items=counts.count(), tau=tau,
             digits=digits, num_buckets=num_buckets)
-    freq = freq_ds.to_pandas()  # token-vocab scale, never corpus scale
+    freq = freq_tbl.to_pandas()  # token-vocab scale, never corpus scale
     # rare-first total order; ties broken on the token value
     freq = freq.sort_values(["n", "shingle"], kind="mergesort")
     rank_of = pd.Series(np.arange(len(freq), dtype=np.int64),

@@ -37,24 +37,23 @@ import pyarrow as pa
 
 
 def _half_step(r_ds, key_col: str, other_col: str, rating_col: str,
-               other_ds, n_other: int, scale: int,
-               max_broadcast_keys: int):
+               other_ds, scale: int, max_broadcast_keys: int):
     """One ALS half-step: new factors for ``key_col`` given the
-    ``other_col`` factor DATASET (columns: other_col, 'f'), which stays
-    distributed on the bucket_join path — no driver concat."""
+    materialized ``other_col`` factor DATASET (columns: other_col, 'f'),
+    which stays distributed on the bucket_join path — no driver concat."""
     import ray
 
     from kgray.ops.joins import bucket_join
-    from kgray.util import gate
+    from kgray.util import collect_small
 
     s2 = scale * scale
 
-    if n_other <= gate(max_broadcast_keys):
+    other_tbl = collect_small(other_ds, max_rows=max_broadcast_keys)
+    if other_tbl is not None:
         # gated path only: a broadcast dict is driver-built by definition
-        other_tbl = _concat_refs(other_ds.to_arrow_refs())
         fmap_ref = ray.put(dict(zip(
             other_tbl[other_col].to_pylist(), other_tbl["f"].to_pylist()))
-            if other_tbl is not None else {})
+            if other_tbl.num_rows else {})
 
         def attach(batch: pa.Table) -> pa.Table:
             fmap = ray.get(fmap_ref)
@@ -119,23 +118,11 @@ def als1(r_ds, user_col: str, item_col: str, rating_col: str,
         })
 
     v_ds = items.map_batches(init, batch_format="pyarrow").materialize()
-    n_v = v_ds.count()
-    u_ds, n_u = None, 0
+    u_ds = None
     for _ in range(iters):
-        u_ds = _half_step(
-            r_ds, user_col, item_col, rating_col, v_ds, n_v, scale,
-            max_broadcast_keys)
-        n_u = u_ds.count()
-        v_ds = _half_step(
-            r_ds, item_col, user_col, rating_col, u_ds, n_u, scale,
-            max_broadcast_keys)
-        n_v = v_ds.count()
+        u_ds = _half_step(r_ds, user_col, item_col, rating_col, v_ds,
+                          scale, max_broadcast_keys)
+        v_ds = _half_step(r_ds, item_col, user_col, rating_col, u_ds,
+                          scale, max_broadcast_keys)
 
     return u_ds, v_ds
-
-
-def _concat_refs(refs) -> pa.Table:
-    import ray
-
-    tbls = [t for t in ray.get(list(refs)) if t.num_rows]
-    return pa.concat_tables(tbls) if tbls else None

@@ -21,7 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import gate
+from kgray.util import collect_small
 
 
 def _symmetric(edges, u_col: str = "u", v_col: str = "v"):
@@ -40,6 +40,29 @@ def _symmetric(edges, u_col: str = "u", v_col: str = "v"):
         )
 
     return edges.map_batches(sym, batch_format="pyarrow")
+
+
+def _small_graph(edges, max_edges: int, u_col: str = "u",
+                 v_col: str = "v", dedup: bool = False):
+    """The in-process gate of the index-array kernels below: None above
+    ``max_edges`` edges (the caller runs its partitioned path), else
+    ``(df, nodes, src, dst)`` — the collected edge frame (``dedup`` drops
+    repeated (u, v) rows), the sorted distinct endpoints, and the
+    symmetric edge list (every u->v row, then every v->u row) as index
+    arrays into ``nodes``: ``src[:len(df)]``/``dst[:len(df)]`` are the
+    edges as given."""
+    tbl = collect_small(edges, max_rows=max_edges)
+    if tbl is None:
+        return None
+    df = tbl.to_pandas()
+    if dedup:
+        df = df.drop_duplicates([u_col, v_col])
+    m = len(df)
+    nodes, inv = np.unique(
+        np.concatenate([df[u_col].to_numpy(), df[v_col].to_numpy()]),
+        return_inverse=True,
+    )
+    return df, nodes, inv, np.concatenate([inv[m:], inv[:m]])
 
 
 def node_degrees(edges, u_col: str = "u", v_col: str = "v"):
@@ -105,20 +128,13 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
     from kgray.util import round_half_up
 
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
         # in-process small-side gate (the CC/minhash pattern: shuffle
         # barriers cost seconds even for dozens of edges; under the gate
         # the SAME power-iteration math runs once on the driver —
         # paths-agree pinned in tests/test_graph.py)
-        df = edges.to_pandas()
-        sym_u = pd.concat([df[u_col], df[v_col]], ignore_index=True)
-        sym_v = pd.concat([df[v_col], df[u_col]], ignore_index=True)
-        nodes, inv = np.unique(
-            pd.concat([sym_u, sym_v], ignore_index=True).to_numpy(),
-            return_inverse=True,
-        )
-        m = len(sym_u)
-        src, dst = inv[:m], inv[m:]
+        _, nodes, src, dst = small
         if not len(nodes):
             return pa.table({"node": pa.array([], pa.string()),
                              "rank": pa.array([], pa.float64())})
@@ -243,10 +259,11 @@ def triangle_count(edges, u_col: str = "u", v_col: str = "v",
     from kgray.util import grouped_map, pairs_within_groups
 
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
+    small = collect_small(edges, max_rows=max_inprocess_edges)
+    if small is not None:
         # in-process small-side gate (see pagerank): same kernel, zero
         # shuffle barriers; paths-agree pinned in tests/test_graph.py
-        n = _triangle_kernel(edges.to_pandas(), u_col, v_col, max_degree)
+        n = _triangle_kernel(small.to_pandas(), u_col, v_col, max_degree)
         return pa.table({"n_triangles": pa.array([n], pa.int64())})
 
     sym = _symmetric(edges, u_col, v_col)
@@ -337,18 +354,12 @@ def pagerank_int(edges, iters: int = 4, scale: int = 10**12,
     from kgray.ops.joins import bucket_join
 
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        sym_u = pd.concat([df[u_col], df[v_col]], ignore_index=True)
-        sym_v = pd.concat([df[v_col], df[u_col]], ignore_index=True)
-        nodes, inv = np.unique(
-            pd.concat([sym_u, sym_v], ignore_index=True).to_numpy(),
-            return_inverse=True,
-        )
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        _, nodes, src, dst = small
         if not len(nodes):
             return pa.table({"node": pa.array([], pa.int64()),
                              "r": pa.array([], pa.int64())})
-        m = len(sym_u)
         seed_idx = None
         if seeds is not None:
             # seeds filtered to graph nodes on BOTH paths (the
@@ -357,8 +368,8 @@ def pagerank_int(edges, iters: int = 4, scale: int = 10**12,
                 np.isin(nodes, np.unique(np.asarray(list(seeds)))))[0]
             if not len(seed_idx):
                 raise ValueError("pagerank_int: no seed is a graph node")
-        rank = _pagerank_int_kernel(inv[:m], inv[m:], len(nodes), iters,
-                                    scale, seed_idx)
+        rank = _pagerank_int_kernel(src, dst, len(nodes), iters, scale,
+                                    seed_idx)
         return pa.table({"node": pa.array(nodes),
                          "r": pa.array(rank, pa.int64())})
 
@@ -474,19 +485,12 @@ def bfs_hops(edges, seeds, max_hops: int = 4,
     from kgray.ops.joins import bucket_join
 
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        sym_u = pd.concat([df[u_col], df[v_col]], ignore_index=True)
-        sym_v = pd.concat([df[v_col], df[u_col]], ignore_index=True)
-        nodes, inv = np.unique(
-            pd.concat([sym_u, sym_v], ignore_index=True).to_numpy(),
-            return_inverse=True,
-        )
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        _, nodes, src, dst = small
         if not len(nodes):
             return pa.table({"node": pa.array([], pa.int64()),
                              "dist": pa.array([], pa.int64())})
-        m = len(sym_u)
-        src, dst = inv[:m], inv[m:]
         dist = np.full(len(nodes), -1, np.int64)
         dist[np.isin(nodes, np.asarray(list(seeds)))] = 0
         frontier = dist == 0
@@ -585,18 +589,11 @@ def landmark_distances(edges, landmarks, max_hops: int = 3,
     idx_of = {lm: i for i, lm in enumerate(lms)}
 
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        sym_u = pd.concat([df[u_col], df[v_col]], ignore_index=True)
-        sym_v = pd.concat([df[v_col], df[u_col]], ignore_index=True)
-        nodes, inv = np.unique(
-            pd.concat([sym_u, sym_v], ignore_index=True).to_numpy(),
-            return_inverse=True,
-        )
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        _, nodes, src, dst = small
         out_n, out_l, out_d = [], [], []
         if len(nodes):
-            m = len(sym_u)
-            src, dst = inv[:m], inv[m:]
             for lm in lms:
                 if lm not in nodes:
                     continue
@@ -722,8 +719,9 @@ def greedy_matching(edges, rounds: int = 3,
                          "v": pa.array([], pa.int64()),
                          "round": pa.array([], pa.int64())})
 
-    if e.count() <= gate(max_inprocess_edges):
-        df = e.to_pandas()
+    small = collect_small(e, max_rows=max_inprocess_edges)
+    if small is not None:
+        df = small.to_pandas()
         uu = df["u"].to_numpy(np.int64)
         vv = df["v"].to_numpy(np.int64)
         eid = df["eid"].to_numpy(np.int64)
@@ -822,14 +820,11 @@ def kcore(edges, k: int, rounds: int = 3,
     from kgray.ops.joins import semi_join
 
     edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        u = df[u_col].to_numpy()
-        v = df[v_col].to_numpy()
-        nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-        src, dst = inv[: len(u)], inv[len(u):]
-        alive_e = np.ones(len(u), bool)
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        df, nodes, src, dst = small
+        src, dst = src[:len(df)], dst[:len(df)]
+        alive_e = np.ones(len(df), bool)
         for _ in range(rounds):
             deg = np.bincount(src[alive_e], minlength=len(nodes)) \
                 + np.bincount(dst[alive_e], minlength=len(nodes))
@@ -845,7 +840,7 @@ def kcore(edges, k: int, rounds: int = 3,
                          "deg": pa.array(deg[nz], pa.int64())})
 
     cur = edges
-    prev_count = n_edges
+    prev_count = edges.count()
     for _ in range(rounds):
         def deg_partial(batch: pa.Table) -> pa.Table:
             t = pa.table(
@@ -943,8 +938,9 @@ def hits_int(edges, iters: int = 2, scale: int = 10**6,
         return pa.table({"node": pa.array([], pa.int64()),
                          "score": pa.array([], pa.int64()),
                          "side": pa.array([], pa.string())})
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
+    small = collect_small(edges, max_rows=max_inprocess_edges)
+    if small is not None:
+        df = small.to_pandas()
         hubs, hi = np.unique(df[u_col].to_numpy(), return_inverse=True)
         auths, ai = np.unique(df[v_col].to_numpy(), return_inverse=True)
         h, a = _hits_int_kernel(hi, ai, len(hubs), len(auths), iters,
@@ -1063,8 +1059,9 @@ def node_triangles(edges, u_col: str = "u", v_col: str = "v",
     from kgray.util import grouped_map, pairs_within_groups
 
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
-        return _node_triangle_kernel(edges.to_pandas(), u_col, v_col,
+    small = collect_small(edges, max_rows=max_inprocess_edges)
+    if small is not None:
+        return _node_triangle_kernel(small.to_pandas(), u_col, v_col,
                                      max_degree)
 
     sym = _symmetric(edges, u_col, v_col)
@@ -1171,14 +1168,9 @@ def lpa_labels(edges, rounds: int = 3,
     if edges.count() == 0:
         return pa.table({"node": pa.array([], pa.int64()),
                          "lbl": pa.array([], pa.int64())})
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        u = df[u_col].to_numpy()
-        v = df[v_col].to_numpy()
-        nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-        m = len(u)
-        src = np.concatenate([inv[:m], inv[m:]])
-        dst = np.concatenate([inv[m:], inv[:m]])
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        _, nodes, src, dst = small
         lbl = _lpa_kernel(src, dst, len(nodes), rounds)
         return pa.table({"node": pa.array(nodes),
                          "lbl": pa.array(nodes[lbl], pa.int64())})
@@ -1242,15 +1234,10 @@ def bellman_ford(edges, seeds, rounds: int = 3,
     if edges.count() == 0:
         return pa.table({"node": pa.array([], pa.int64()),
                          "dist": pa.array([], pa.int64())})
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        u = df[u_col].to_numpy()
-        v = df[v_col].to_numpy()
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        df, nodes, src, dst = small
         w = np.concatenate([df[w_col].to_numpy(np.int64)] * 2)
-        nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-        m = len(u)
-        src = np.concatenate([inv[:m], inv[m:]])
-        dst = np.concatenate([inv[m:], inv[:m]])
         big = np.iinfo(np.int64).max // 4
         dist = np.full(len(nodes), big, np.int64)
         dist[np.isin(nodes, np.asarray(list(seeds)))] = 0
@@ -1365,14 +1352,9 @@ def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
 
     seed_arr = np.unique(np.asarray(list(seeds), np.int64))
     edges = edges.materialize()
-    if edges.count() <= gate(max_inprocess_edges):
-        df = edges.to_pandas()
-        sym_u = pd.concat([df[u_col], df[v_col]], ignore_index=True)
-        sym_v = pd.concat([df[v_col], df[u_col]], ignore_index=True)
-        nodes, inv = np.unique(
-            pd.concat([sym_u, sym_v], ignore_index=True).to_numpy(),
-            return_inverse=True,
-        )
+    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    if small is not None:
+        _, nodes, src, dst = small
         if not len(nodes):
             return pa.table({"node": pa.array([], pa.int64()),
                              "r": pa.array([], pa.int64())})
@@ -1380,9 +1362,8 @@ def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
         if not seed_mask.any():
             return pa.table({"node": pa.array([], pa.int64()),
                              "r": pa.array([], pa.int64())})
-        m = len(sym_u)
-        rank = _ppr_int_kernel(inv[:m], inv[m:], len(nodes), seed_mask,
-                               iters, scale)
+        rank = _ppr_int_kernel(src, dst, len(nodes), seed_mask, iters,
+                               scale)
         return pa.table({"node": pa.array(nodes),
                          "r": pa.array(rank, pa.int64())})
 
@@ -1498,18 +1479,12 @@ def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v",
 
     e = edges.map_batches(norm, batch_format="pyarrow").materialize()
 
-    if e.count() <= gate(max_inprocess_edges):
-        df = e.to_pandas().drop_duplicates(["u", "v"])
-        uu, vv = df["u"].to_numpy(), df["v"].to_numpy()
-        nodes = np.unique(np.concatenate([uu, vv]))
+    small = _small_graph(e, max_inprocess_edges, dedup=True)
+    if small is not None:
+        _, nodes, src, dst = small
         h = _h(nodes)
         assert len(np.unique(h)) == len(nodes), \
             "luby_mis: md5 priority collision"
-        idx = {n: i for i, n in enumerate(nodes)}
-        su = np.fromiter((idx[x] for x in uu), np.int64, len(uu))
-        sv = np.fromiter((idx[x] for x in vv), np.int64, len(vv))
-        src = np.concatenate([su, sv])
-        dst = np.concatenate([sv, su])
         state = np.zeros(len(nodes), np.int8)  # 0 open, 1 in, 2 out
         for _ in range(rounds):
             act = state == 0
@@ -1671,18 +1646,13 @@ def neighborhood_hll(edges, hops: int = 3, p: int = 10,
         return regs
 
     e = edges.materialize()
-    if e.count() <= gate(max_inprocess_edges):
-        df = e.to_pandas().drop_duplicates([u_col, v_col])
-        nodes, inv = np.unique(
-            np.concatenate([df[u_col].to_numpy(), df[v_col].to_numpy()]),
-            return_inverse=True)
+    small = _small_graph(e, max_inprocess_edges, u_col, v_col, dedup=True)
+    if small is not None:
+        _, nodes, src, dst = small
         n = len(nodes)
         if n == 0:
             return pa.table({"hop": pa.array([], pa.int64()),
                              "est_pairs": pa.array([], pa.float64())})
-        su, sv = inv[: len(df)], inv[len(df):]
-        src = np.concatenate([su, sv])
-        dst = np.concatenate([sv, su])
         regs = init_regs(pa.array(nodes))
         # per-round segment max via pandas groupby.max over the gathered
         # (E, m) matrix: 7x faster than np.maximum.reduceat on 2D

@@ -13,7 +13,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import gate
+from kgray.util import collect_table, fits_small
 
 
 def broadcast_lookup(
@@ -267,12 +267,7 @@ def broadcast_join(
     import ray
 
     right_on = right_on or on
-    if hasattr(right, "to_arrow_refs"):  # Dataset -> one combined table
-        parts = [ray.get(r) for r in right.to_arrow_refs()]
-        parts = [p for p in parts if p.num_rows] or parts[:1]
-        right_tbl = pa.concat_tables(parts, promote_options="default")
-    else:
-        right_tbl = right
+    right_tbl = right if isinstance(right, pa.Table) else collect_table(right)
 
     left_cols = set(left.schema().names)
     clash = (left_cols & set(right_tbl.column_names)) - (
@@ -326,15 +321,9 @@ def semi_join(left, right, on: str, right_on: str | None = None,
         lambda b: pa.table({"__k": pc_unique(b[right_on])}),
         batch_format="pyarrow",
     )
-    est = right.size_bytes()
-    if est is not None and est <= gate(max_broadcast_bytes):
-        import ray
-
-        parts = [ray.get(r) for r in keys_ds.to_arrow_refs()]
-        parts = [p for p in parts if p.num_rows]
-        keys = set()
-        for p in parts:
-            keys.update(p["__k"].to_pylist())
+    if fits_small(right, max_bytes=max_broadcast_bytes):
+        tbl = collect_table(keys_ds)
+        keys = set(tbl["__k"].to_pylist()) if tbl.num_rows else set()
         return semi_join_filter(left, keys, on, keep=not anti)
 
     if bloom_bits:

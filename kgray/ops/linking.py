@@ -29,7 +29,7 @@ import pyarrow as pa
 
 from kgray.ops.tagging import normalize_entity
 
-from kgray.util import gate
+from kgray.util import collect_small
 
 _SEP = "\x1f"
 
@@ -78,10 +78,13 @@ def mention_key(entity_type: str, name: str) -> str:
     return f"{entity_type}{_SEP}{name}"
 
 
-def _mention_partials(triples):
-    """Combiner stage of ``mentions_from_triples``: per-block distinct
-    (mention_key, n) rows — the skew-defusing partial aggregate that runs
-    before (or, under the small-side gate, instead of) the groupby."""
+def mentions_from_triples(triples):
+    """Distinct (entity_type, mention) rows with counts.
+
+    Per-batch partial aggregation first (combiner), then a small groupby —
+    the skew-defusing pattern for head entities (SURVEY.md §4).
+    """
+    from ray.data.aggregate import Sum
 
     def partial(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -110,19 +113,8 @@ def _mention_partials(triples):
             }
         )
 
-    return triples.map_batches(partial, batch_format="pyarrow")
-
-
-def mentions_from_triples(triples):
-    """Distinct (entity_type, mention) rows with counts.
-
-    Per-batch partial aggregation first (combiner), then a small groupby —
-    the skew-defusing pattern for head entities (SURVEY.md §4).
-    """
-    from ray.data.aggregate import Sum
-
     return (
-        _mention_partials(triples)
+        triples.map_batches(partial, batch_format="pyarrow")
         .groupby("mention_key")
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -356,48 +348,20 @@ def link_mentions(
     num_hashes: int = 64,
     bands: int = 32,
     tau: float = 0.6,
-    concurrency=None,
     max_driver_mentions: int = 200_000,
 ):
     """Full linking pipeline: triples -> verified same-entity edges.
 
-    Auto-gated like connected_components: the combiner partials are
-    materialized once; at or under ``max_driver_mentions`` partial rows
-    the whole LSH+verify runs as one in-process call (4 shuffle barriers
-    cost seconds even for tens of edges), above it the distributed
-    banded-cogroup path is the 100-TB route.  Both paths share the same
-    signature/banding/verify kernels.
-
-    Band emission runs as tasks by default (the minhash params are trivial
-    closure state); pass concurrency=(min,max) for an actor pool when the
-    blocking state is heavy (e.g. an embedding encoder)."""
-    import pyarrow.compute as pc
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    partials = _mention_partials(triples).materialize()
-    if partials.count() <= gate(max_driver_mentions):
-        parts = [ray.get(r) for r in partials.to_arrow_refs()]
-        parts = [p for p in parts if p.num_rows]
-        keys = []
-        if parts:
-            tbl = pa.concat_tables(parts, promote_options="default")
-            keys = pc.unique(tbl["mention_key"]).to_pylist()
-        return rd.from_arrow(_driver_link(keys, num_hashes, bands, tau))
-
-    ments = partials.groupby("mention_key").aggregate(Sum("n", alias_name="n"))
-    if concurrency is None:
-        banded = ments.map_batches(
-            BandEmitter(num_hashes=num_hashes, bands=bands),
-            batch_format="pyarrow",
-        )
-    else:
-        banded = ments.map_batches(
-            BandEmitter, batch_format="pyarrow", concurrency=concurrency,
-            fn_constructor_kwargs={"num_hashes": num_hashes, "bands": bands},
-        )
-    return _verified_pairs_fused(banded, tau=tau)
+    ``mentions_from_triples`` then ``link_from_mentions`` over the
+    materialized mention table: the small-side gate (at or under
+    ``max_driver_mentions`` distinct mentions the whole LSH+verify runs
+    as one in-process call) and the distributed banded-cogroup path both
+    live there, so the two entry points cannot drift."""
+    return link_from_mentions(
+        mentions_from_triples(triples).materialize(),
+        num_hashes=num_hashes, bands=bands, tau=tau,
+        max_driver_mentions=max_driver_mentions,
+    )
 
 
 def link_from_mentions(
@@ -408,7 +372,7 @@ def link_from_mentions(
     tau: float = 0.6,
     max_driver_mentions: int = 200_000,
 ):
-    """Linking over a persisted (mention_key, n) table.
+    """Linking over a (mention_key, n) table.
 
     ``new_keys=None``: full linking (every verified pair), the stage
     kg_construct runs from its ``mentions/`` checkpoint.
@@ -420,20 +384,21 @@ def link_from_mentions(
     emitted for every mention (a mention-scale map, no pair work), but
     pair generation + Jaccard verify inside each band bucket keeps only
     pairs touching a new key: old-old edges are already persisted by the
-    previous run and are UNIONED by the caller, never recomputed.  Same
-    signature/banding/verify kernels as ``link_mentions`` (both paths
-    share ``_bucket_verify_df``)."""
+    previous run and are UNIONED by the caller, never recomputed.
+
+    Auto-gated like connected_components: at or under
+    ``max_driver_mentions`` mention rows the whole LSH+verify runs as one
+    in-process call (the cogroup shuffles cost seconds even for tens of
+    edges); above it the distributed banded-cogroup path is the 100-TB
+    route.  Both paths share the signature/banding/verify kernels
+    (``_bucket_verify_df``)."""
     import pyarrow.compute as pc
-    import ray
     import ray.data as rd
 
-    if ments.count() <= gate(max_driver_mentions):
-        parts = [ray.get(r) for r in ments.to_arrow_refs()]
-        parts = [p for p in parts if p.num_rows]
-        keys = []
-        if parts:
-            tbl = pa.concat_tables(parts, promote_options="default")
-            keys = pc.unique(tbl["mention_key"]).to_pylist()
+    tbl = collect_small(ments, max_rows=max_driver_mentions)
+    if tbl is not None:
+        keys = pc.unique(tbl["mention_key"]).to_pylist() \
+            if tbl.num_rows else []
         return rd.from_arrow(
             _driver_link(keys, num_hashes, bands, tau,
                          only_involving=new_keys)

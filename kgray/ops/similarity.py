@@ -83,15 +83,10 @@ class IvfIndex:
 def fit_centroids(embeddings, num_centroids: int = 16, sample_rows: int = 2048,
                   iters: int = 5, vec_col: str = "embedding", seed: int = 7):
     """Deterministic mini k-means on a head sample (driver-side, small)."""
-    sample = embeddings.limit(sample_rows).to_arrow_refs()
-    import ray
+    from kgray.util import collect_table
 
-    mats = []
-    for ref in sample:
-        t = ray.get(ref)
-        if t.num_rows:
-            mats.append(_normalize(_matrix(t, vec_col)))
-    X = np.vstack(mats)
+    X = _normalize(_matrix(
+        collect_table(embeddings.limit(sample_rows)), vec_col))
     rs = np.random.RandomState(seed)
     C = X[rs.choice(len(X), size=min(num_centroids, len(X)), replace=False)]
     for _ in range(iters):
@@ -287,13 +282,9 @@ def kmeans_lloyd(ds, k: int = 8, iters: int = 5,
     import ray
     from ray.data.aggregate import Sum
 
-    sample = ds.limit(sample_rows).to_arrow_refs()
-    mats = [
-        _matrix(t, vec_col).astype(np.float64)
-        for t in (ray.get(r) for r in sample)
-        if t.num_rows
-    ]
-    X = np.vstack(mats)
+    from kgray.util import collect_table
+
+    X = _matrix(collect_table(ds.limit(sample_rows)), vec_col)
     rs = np.random.RandomState(seed)
     C = X[rs.choice(len(X), size=min(k, len(X)), replace=False)].copy()
     k_eff = len(C)

@@ -871,10 +871,9 @@ def bpe_encode_stats(docs, merges, text_col: str = "text",
     and round-trip property tests instead."""
     import ray
 
-    if isinstance(merges, pa.Table):
-        mt = merges
-    else:
-        mt = pa.concat_tables(ray.get(merges.to_arrow_refs()))
+    from kgray.util import collect_table
+
+    mt = merges if isinstance(merges, pa.Table) else collect_table(merges)
     order = np.argsort(mt["rank"].to_numpy(zero_copy_only=False))
     lefts = np.asarray(mt["left"].to_pylist(), object)[order]
     rights = np.asarray(mt["right"].to_pylist(), object)[order]

@@ -107,19 +107,17 @@ def _init_embed(keys_ds, key_col: str, dim: int, scale: int, tag: str,
     return keys_ds.map_batches(init, batch_format="pyarrow").materialize()
 
 
-def _attach(pairs_ds, factor_ds, n_factor: int, on: str,
-            cols: list[str], max_broadcast_keys: int):
+def _attach(pairs_ds, factor_ds, on: str, cols: list[str],
+            max_broadcast_keys: int):
     """Attach factor columns to the pair table: broadcast dict under the
     gate, bucket_join above it (factors stay a Dataset)."""
     import ray
 
     from kgray.ops.joins import bucket_join
-    from kgray.util import gate
+    from kgray.util import collect_small
 
-    if n_factor <= gate(max_broadcast_keys):
-        tbl = pa.concat_tables(
-            [t for t in ray.get(list(factor_ds.to_arrow_refs()))
-             if t.num_rows])
+    tbl = collect_small(factor_ds, max_rows=max_broadcast_keys)
+    if tbl is not None:
         fmap_ref = ray.put({
             k: tuple(vals) for k, *vals in zip(
                 tbl[on].to_pylist(),
@@ -151,8 +149,8 @@ def _sigmoid_coef(labels: np.ndarray, dots: np.ndarray,
     return labels.astype(np.float64) - sig_u[inv]
 
 
-def sgns_round(allp_ds, u_ds, n_u: int, v_ds, n_v: int, dim: int,
-               scale: int, lr_den: int, max_broadcast_keys: int):
+def sgns_round(allp_ds, u_ds, v_ds, dim: int, scale: int, lr_den: int,
+               max_broadcast_keys: int):
     """One synchronous SGNS round; returns (new_u_ds, new_v_ds), both
     materialized key-scale Datasets."""
     from kgray.util import grouped_map
@@ -161,8 +159,8 @@ def sgns_round(allp_ds, u_ds, n_u: int, v_ds, n_v: int, dim: int,
     ucols = [f"u{d}" for d in range(dim)]
     vcols = [f"v{d}" for d in range(dim)]
 
-    j = _attach(allp_ds, u_ds, n_u, "w", ucols, max_broadcast_keys)
-    j = _attach(j, v_ds, n_v, "c", vcols, max_broadcast_keys)
+    j = _attach(allp_ds, u_ds, "w", ucols, max_broadcast_keys)
+    j = _attach(j, v_ds, "c", vcols, max_broadcast_keys)
     j = j.materialize()  # two grad folds read it; don't re-run the joins
 
     def grad_fold(key: str, other_cols: list[str]):
@@ -205,10 +203,10 @@ def sgns_round(allp_ds, u_ds, n_u: int, v_ds, n_v: int, dim: int,
 
         return upd
 
-    nu = _attach(du, u_ds, n_u, "w", ucols, max_broadcast_keys) \
+    nu = _attach(du, u_ds, "w", ucols, max_broadcast_keys) \
         .map_batches(apply_update("u", "w"), batch_format="pyarrow") \
         .materialize()
-    nv = _attach(dv, v_ds, n_v, "c", vcols, max_broadcast_keys) \
+    nv = _attach(dv, v_ds, "c", vcols, max_broadcast_keys) \
         .map_batches(apply_update("v", "c"), batch_format="pyarrow") \
         .materialize()
     return nu, nv
@@ -224,7 +222,6 @@ def train_word2vec(docs, text_col: str = "text", dim: int = 4,
     (c, v0..) and the per-word positive-mass table (w, n)."""
     from kgray.ops.agg import pre_aggregate
     from kgray.ops.joins import bucket_join
-    from kgray.util import gate
 
     import ray
 
@@ -234,7 +231,6 @@ def train_word2vec(docs, text_col: str = "text", dim: int = 4,
                           {"__x": (None, "count")}) \
         .select_columns(["c"]).materialize()
     V = vocab.count()
-    n_w = nw.count()
 
     def slot_of(batch: pa.Table) -> pa.Table:
         cs = batch["c"].to_pylist()
@@ -280,6 +276,6 @@ def train_word2vec(docs, text_col: str = "text", dim: int = 4,
                     init_div)
     v = _init_embed(vocab, "c", dim, scale, "v", "v", init_div)
     for _ in range(iters):
-        u, v = sgns_round(allp, u, n_w, v, V, dim, scale, lr_den,
+        u, v = sgns_round(allp, u, v, dim, scale, lr_den,
                           max_broadcast_keys)
     return u, v, nw

@@ -171,16 +171,17 @@ def _entities_changed(old_entities, entity_map, max_driver_rows: int = 1_000_000
     Appends only ADD edges, so components only merge and nodes never
     disappear; a changed old component is the one case that invalidates
     previously-canonicalized partitions.  Entity maps are alias-graph
-    scale (nodes with >= 1 edge): under the gate the diff is one pandas
-    merge; above it a partitioned bucket join."""
-    from kgray.util import gate
+    scale (nodes with >= 1 edge): when BOTH maps fit the gate the diff is
+    one pandas merge; otherwise a partitioned bucket join."""
+    from kgray.util import collect_small
 
     old_mat = old_entities.materialize()
-    if old_mat.count() <= gate(max_driver_rows):
-        old_df = old_mat.to_pandas()
-        new_df = entity_map.to_pandas()
-        j = old_df.merge(new_df, on="node", how="left",
-                         suffixes=("_old", "_new"))
+    old_tbl = collect_small(old_mat, max_rows=max_driver_rows)
+    new_tbl = None if old_tbl is None else \
+        collect_small(entity_map, max_rows=max_driver_rows)
+    if new_tbl is not None:
+        j = old_tbl.to_pandas().merge(new_tbl.to_pandas(), on="node",
+                                      how="left", suffixes=("_old", "_new"))
         return bool((j["component_old"] != j["component_new"]).any())
     from kgray.ops.joins import bucket_join
 
@@ -238,6 +239,7 @@ def kg_construct(
     from kgray import io
     from kgray.ops.canonical import canonicalize_triples, connected_components
     from kgray.ops.linking import link_from_mentions, mentions_from_triples
+    from kgray.util import collect_table
 
     cfg = cfg or PipelineConfig()
     manifests = {}
@@ -314,7 +316,7 @@ def kg_construct(
         new_only = semi_join(new_partials, old_ments, on="mention_key",
                              anti=True)
         new_keys = frozenset(
-            new_only.to_pandas()["mention_key"].tolist()
+            collect_table(new_only)["mention_key"].to_pylist()
         )
         # union + re-aggregate, MATERIALIZED before the rewrite (the
         # lazy union reads the very files the write hygiene deletes)

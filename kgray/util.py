@@ -26,6 +26,49 @@ def gate(threshold):
     return 0 if force_distributed() else threshold
 
 
+def fits_small(ds, *, max_rows=None, max_bytes=None) -> bool:
+    """The engine's one small-side decision: True when ``ds`` is at or
+    under every given threshold (``max_rows`` against ``ds.count()``,
+    ``max_bytes`` against ``ds.size_bytes()``; an unknown size never
+    fits).  Thresholds pass through ``gate``, so under
+    KGRAY_FORCE_DISTRIBUTED only an empty input fits.  Sites that gate
+    one Dataset but collect a projection of it call this directly;
+    everything else goes through ``collect_small``."""
+    if max_bytes is not None:
+        est = ds.size_bytes()
+        if est is None or est > gate(max_bytes):
+            return False
+    return max_rows is None or ds.count() <= gate(max_rows)
+
+
+def collect_table(ds) -> pa.Table:
+    """All rows of ``ds`` as ONE Arrow table on the driver: the
+    non-empty blocks concatenated (null-typed columns promote to the
+    typed twin), else a 0-row table that keeps the schema.  Unbounded:
+    callers gate first (``fits_small``/``collect_small``) or collect a
+    side that is small by construction."""
+    import ray
+
+    parts = ray.get(list(ds.to_arrow_refs()))
+    if not parts:
+        schema = ds.schema()
+        schema = getattr(schema, "base_schema", schema)
+        return schema.empty_table() if isinstance(schema, pa.Schema) \
+            else pa.table({})
+    return pa.concat_tables([p for p in parts if p.num_rows] or parts,
+                            promote_options="default")
+
+
+def collect_small(ds, *, max_rows=None, max_bytes=None) -> pa.Table | None:
+    """``collect_table(ds)`` when ``ds`` fits the small-side gate
+    (``fits_small``), else None: the caller then takes its partitioned
+    path.  Pass a materialized Dataset, or the gate's count and the
+    collect each run the input."""
+    if not fits_small(ds, max_rows=max_rows, max_bytes=max_bytes):
+        return None
+    return collect_table(ds)
+
+
 def round_half_up(x, digits: int = 4):
     """Round half-away-from-zero, matching SQL ROUND (numpy/python round
     is half-even and flips x.xxx5 boundary values vs DuckDB)."""

@@ -142,3 +142,66 @@ def test_entities_changed_detection(ray_session):
     ))
     assert not _entities_changed(old, same)   # new node joined, old kept
     assert _entities_changed(old, merged)     # old b relabeled to a
+
+
+def test_entities_changed_gates_both_maps(ray_session, monkeypatch):
+    """Old map under the driver gate, new (grown) map above it: the diff
+    must take the partitioned bucket join, not collect the new map, and
+    give the same answer as the all-driver diff."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from kgray.ops import joins
+    from kgray.pipeline import _entities_changed
+
+    calls = []
+    real = joins.bucket_join
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    monkeypatch.setattr(joins, "bucket_join", counting)
+
+    def emap(nodes, comps):
+        return rd.from_arrow(pa.table(
+            {"node": pa.array(nodes), "component": pa.array(comps)}))
+
+    old = emap(["b", "c"], ["b", "c"])
+    same = emap(["b", "c", "d", "e"], ["b", "c", "b", "c"])
+    merged = emap(["a", "b", "c", "d"], ["a", "a", "c", "c"])
+    for new, want in ((same, False), (merged, True)):
+        assert _entities_changed(old, new, max_driver_rows=100) is want
+        assert not calls  # both maps fit: in-process diff
+        assert _entities_changed(old, new, max_driver_rows=3) is want
+        assert calls  # 2 old rows <= 3 < 4 new rows: partitioned
+        calls.clear()
+
+
+def test_append_batch_without_new_mentions(ray_session, tmp_path):
+    """A batch whose every mention is already known (same texts under
+    fresh doc ids) appends its triples and leaves the link edges as they
+    were: the empty first-seen key set must not crash the append."""
+    import pyarrow.compute as pc
+
+    from kgray import io
+    from kgray.corpus import interleaved_dataset
+    from kgray.pipeline import PipelineConfig, kg_construct
+
+    cfg = PipelineConfig()
+    out = str(tmp_path / "kg")
+    docs = interleaved_dataset(600, seed=5).materialize()
+    kg_construct(docs, out, cfg, num_partitions=4, input_fingerprint="b")
+    edges0 = _canon_df(io.read_table(os.path.join(out, "edges")))
+    n0 = io.read_table(os.path.join(out, "triples")).count()
+
+    again = docs.map_batches(
+        lambda b: b.set_column(
+            b.schema.get_field_index("doc_id"), "doc_id",
+            pc.utf8_replace_slice(b["doc_id"], 0, 3, "dup")),
+        batch_format="pyarrow")
+    kg_construct(again, out, cfg, num_partitions=4, input_fingerprint="a1",
+                 append=True)
+    assert io.read_table(os.path.join(out, "triples")).count() == 2 * n0
+    pd.testing.assert_frame_equal(
+        _canon_df(io.read_table(os.path.join(out, "edges"))), edges0)

@@ -65,7 +65,7 @@ def test_link_mentions_finds_alias_edge():
         {"subject": "无关人名", "subject_type": "人物", "predicate": "作者",
          "object": "第三本书", "object_type": "图书作品"},
     ]
-    edges = link_mentions(_triples(rows), tau=0.5, concurrency=1).to_pandas()
+    edges = link_mentions(_triples(rows), tau=0.5).to_pandas()
     pairs = {frozenset((u, v)) for u, v in zip(edges["u"], edges["v"])}
     expected = frozenset(
         (mention_key("人物", "维克多·谢阁兰"), mention_key("人物", "维克多谢阁兰"))
@@ -473,3 +473,40 @@ io.write_partitioned(
     fp_resumed = io.manifest_fingerprint(io.read_manifest(out))
     fp_clean = io.manifest_fingerprint(io.read_manifest(clean_dir))
     assert fp_resumed == fp_clean
+
+
+@pytest.mark.parametrize("with_new_keys", [False, True])
+def test_link_paths_agree(ray_session, monkeypatch, with_new_keys):
+    """link_from_mentions' in-process driver path and its forced
+    distributed banded-cogroup path emit the same edge set, with and
+    without the append-mode ``new_keys`` restriction; link_mentions is
+    the same computation over triples."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from kgray.ops.linking import link_from_mentions
+
+    names = [f"维克多谢阁兰{i}" for i in range(12)] + \
+        [f"维克多·谢阁兰{i}" for i in range(12)] + ["无关人名", "第三本书"]
+    keys = [mention_key("人物", n) for n in names]
+    ments = rd.from_arrow(pa.table({
+        "mention_key": pa.array(keys, pa.string()),
+        "n": pa.array([1] * len(keys), pa.int64())}))
+    new_keys = frozenset(keys[::5]) if with_new_keys else None
+
+    def edge_set(ds):
+        df = ds.to_pandas()
+        return {(u, v, round(s, 9))
+                for u, v, s in zip(df["u"], df["v"], df["sim"])}
+
+    driver = edge_set(link_from_mentions(ments, new_keys=new_keys, tau=0.5))
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    forced = edge_set(link_from_mentions(ments, new_keys=new_keys, tau=0.5))
+    assert driver and driver == forced
+    if with_new_keys:
+        assert all(u in new_keys or v in new_keys for u, v, _ in driver)
+    else:
+        rows = [{"subject": n, "subject_type": "人物", "predicate": "作者",
+                 "object": "碑", "object_type": "图书作品"} for n in names]
+        via_triples = edge_set(link_mentions(_triples(rows), tau=0.5))
+        assert {e for e in via_triples if e[0].startswith("人物")} == driver
