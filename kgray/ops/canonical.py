@@ -137,24 +137,28 @@ def _cc_driver_unionfind(cat: pa.Table):
     )
 
 
-def connected_components(edges, max_rounds: int = 10,
-                         max_driver_edges: int = 1_000_000):
+# connected_components' driver union-find gate (edge rows)
+MAX_DRIVER_EDGES = 1_000_000
+
+
+def connected_components(edges, max_rounds: int = 10):
     """edges (u, v[, sim]) -> Dataset (node, component), component =
     lexicographic-min node id of the component.
 
     Nodes appearing in no edge are not emitted (identity mapping implied).
 
     Auto-gated like every small-side broadcast in this repo: at or under
-    ``max_driver_edges`` edges the component map is computed by a driver
+    ``MAX_DRIVER_EDGES`` edges the component map is computed by a driver
     union-find (alias graphs are tiny relative to the corpus — 3 shuffle
     barriers per MapReduce round cost seconds even for 42 edges); above
-    it the min-label-propagation rounds below are the 100-TB path.
+    it, or under KGRAY_FORCE_DISTRIBUTED, the min-label-propagation
+    rounds below are the 100-TB path.
     """
     from kgray.ops.graph import _symmetric
     from kgray.util import collect_small
 
     edges_mat = edges.materialize()
-    small = collect_small(edges_mat, max_rows=max_driver_edges)
+    small = collect_small(edges_mat, max_rows=MAX_DRIVER_EDGES)
     if small is not None:
         return _cc_driver_unionfind(small)
     sym = _symmetric(edges_mat).materialize()
@@ -259,15 +263,19 @@ def _labels_fingerprint(labels) -> int:
     return acc
 
 
-def canonicalize_triples(triples, entity_map, num_partitions: int = 16,
-                         broadcast_limit: int = 2_000_000):
+# canonicalize_triples' entity-map broadcast gate (map rows)
+MAX_BROADCAST_MAP_ROWS = 2_000_000
+
+
+def canonicalize_triples(triples, entity_map, num_partitions: int = 16):
     """Rewrite triple subject/object surfaces to canonical component ids.
 
     entity_map: (node=mention_key, component).  Triples whose mention has
     no component keep their own surface key (identity).  The map is the
     small side (one row per LINKED mention, not per triple): broadcast it
-    when under ``broadcast_limit`` rows, else two partitioned hash joins
-    (subject side, then object side).
+    when at or under ``MAX_BROADCAST_MAP_ROWS`` rows, else (or under
+    KGRAY_FORCE_DISTRIBUTED) two partitioned hash joins (subject side,
+    then object side).
     """
     from kgray.ops.joins import broadcast_join, bucket_join
     from kgray.ops.linking import mention_key
@@ -290,7 +298,7 @@ def canonicalize_triples(triples, entity_map, num_partitions: int = 16,
     from kgray.util import collect_small
 
     emap = pa.table({}) if entity_map is None else \
-        collect_small(entity_map, max_rows=broadcast_limit)
+        collect_small(entity_map, max_rows=MAX_BROADCAST_MAP_ROWS)
     if emap is not None and emap.num_rows == 0:
         # no linked entities: canonical id = own surface key
         def identity(batch: pa.Table) -> pa.Table:

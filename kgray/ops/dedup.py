@@ -26,6 +26,17 @@ import pyarrow.compute as pc
 
 from kgray.util import collect_small, collect_table, fits_small
 
+# Small-side gates, read at call time (KGRAY_FORCE_DISTRIBUTED collapses
+# each to 0):
+# rows of a shingle-scale fold broadcast once (set_jaccard_pairs' doc
+# counts, set_jaccard_pairs_prefix's token ranks, dup_ngram_stats' set)
+MAX_BROADCAST_ROWS = 50_000_000
+# estimated input bytes run as one in-process call (minhash, simhash)
+MAX_DRIVER_BYTES = 32 << 20
+# estimated input bytes for minhash's broadcast-texts plan
+MAX_BROADCAST_BYTES = 1 << 31
+# vectors for embedding_dup_pairs' exact brute-force broadcast
+MAX_BRUTE_ROWS = 100_000
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -100,7 +111,6 @@ def word_shingles(text: str, n: int = 3) -> list[str]:
 def ngram_jaccard_pairs(docs, tau: float = 0.8, n: int = 3,
                         text_col: str = "text", id_col: str = "doc_id",
                         num_buckets: int = 16, digits: int = 4,
-                        max_broadcast_count_rows: int = 50_000_000,
                         metric: str = "jaccard"):
     """All doc pairs (u < v) with word-n-gram Jaccard >= tau.
 
@@ -146,17 +156,13 @@ def ngram_jaccard_pairs(docs, tau: float = 0.8, n: int = 3,
     counts = docs.map_batches(count_shingles, batch_format="pyarrow")
     return set_jaccard_pairs(
         exploded, counts, n_items=docs.count(), tau=tau, digits=digits,
-        num_buckets=num_buckets,
-        max_broadcast_count_rows=max_broadcast_count_rows,
-        metric=metric,
+        num_buckets=num_buckets, metric=metric,
     )
 
 
 def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
                       digits: int = 4, num_buckets: int = 16,
-                      max_block: int = 64,
-                      max_broadcast_count_rows: int = 50_000_000,
-                      metric: str = "jaccard"):
+                      max_block: int = 64, metric: str = "jaccard"):
     """Generic exact set-similarity self-join: all item pairs (u < v)
     with Jaccard(token sets) >= tau, from an inverted-index explode.
 
@@ -237,7 +243,7 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
         )
 
     # per-doc shingle counts are one small int row per doc.  Under
-    # ``max_broadcast_count_rows`` (16 bytes x 50M = 800 MB) they collect
+    # ``MAX_BROADCAST_ROWS`` (16 bytes x 50M = 800 MB) they collect
     # ONCE and broadcast into the fold cogroup; above it (10^9-doc
     # territory, or the forced-distributed gate) counts attach via two
     # keyed union-cogroups — pair rows NEVER pay a groupby.aggregate or
@@ -252,7 +258,7 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
             val: pa.array([], pa.float64()),
         }))
     counts = counts.materialize()  # gate count + collect/cogroups reuse it
-    counts_tbl = collect_small(counts, max_rows=max_broadcast_count_rows)
+    counts_tbl = collect_small(counts, max_rows=MAX_BROADCAST_ROWS)
     if counts_tbl is not None:
         import ray
 
@@ -405,50 +411,40 @@ def _driver_minhash_pairs(banded_df: pd.DataFrame, text_of: dict,
 
 def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
                       id_col: str = "doc_id", num_hashes: int = 64,
-                      bands: int = 32, concurrency=None,
-                      broadcast_texts: bool | None = None,
-                      max_broadcast_bytes: int = 1 << 31,
-                      max_driver_bytes: int = 32 << 20):
+                      bands: int = 32):
     """Near-dup pairs by MinHash-LSH over word-3-gram shingles.
 
-    ``broadcast_texts=None`` (default) auto-selects the execution plan by
-    the Dataset's estimated size: under ``max_driver_bytes`` (32 MiB) the
-    whole job runs as one in-process call (the small-side gate — shuffle
-    barriers dominate tiny inputs); under ``max_broadcast_bytes`` (2 GiB)
-    the doc->text map is collected once and broadcast via the object
-    store; above it (or when no size estimate exists) the partitioned
-    ``bucket_join`` path runs — never an unbounded driver-side collect."""
+    The execution plan follows the Dataset's estimated size: at or under
+    ``MAX_DRIVER_BYTES`` (32 MiB) the whole job runs as one in-process
+    call (the small-side gate — shuffle barriers dominate tiny inputs);
+    at or under ``MAX_BROADCAST_BYTES`` (2 GiB) the doc->text map is
+    collected once and broadcast via the object store; above it (or when
+    no size estimate exists, or under KGRAY_FORCE_DISTRIBUTED) the
+    partitioned ``bucket_join`` path runs — never an unbounded
+    driver-side collect."""
     import ray.data as rd
 
     from kgray.ops.linking import _hash_params, minhash_signature
 
-    class DocBands:
-        def __init__(self):
-            self.params = _hash_params(num_hashes)
+    # tasks, not an actor pool: the state is 64 hash params, trivial to
+    # ship in the closure, and tasks scale to every core with no pool ramp
+    params = _hash_params(num_hashes)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = np.asarray(batch[id_col].to_pylist(), np.int64)
-            texts = batch[text_col].to_pylist()
-            sigs = batch_signatures(
-                [word_shingles(t) for t in texts], self.params
-            )  # (n_docs, num_hashes) — one vectorized pass, no per-doc loop
-            out_doc = np.repeat(ids, bands)
-            return pa.table(
-                {
-                    "band_key": pa.array(band_keys(sigs, bands)),
-                    "doc": pa.array(out_doc),
-                }
-            )
+    def doc_bands(batch: pa.Table) -> pa.Table:
+        ids = np.asarray(batch[id_col].to_pylist(), np.int64)
+        texts = batch[text_col].to_pylist()
+        sigs = batch_signatures(
+            [word_shingles(t) for t in texts], params
+        )  # (n_docs, num_hashes) — one vectorized pass, no per-doc loop
+        out_doc = np.repeat(ids, bands)
+        return pa.table(
+            {
+                "band_key": pa.array(band_keys(sigs, bands)),
+                "doc": pa.array(out_doc),
+            }
+        )
 
-    # tasks by default (state = 64 hash params, trivial to ship in the
-    # closure; tasks scale to every core with no pool ramp).  Pass
-    # concurrency=(min,max) for an actor pool if the signature state ever
-    # becomes heavy.
-    if concurrency is None:
-        banded = docs.map_batches(DocBands(), batch_format="pyarrow")
-    else:
-        banded = docs.map_batches(DocBands, batch_format="pyarrow",
-                                  concurrency=concurrency)
+    banded = docs.map_batches(doc_bands, batch_format="pyarrow")
 
     max_block = 128
     texts_ds = docs.map_batches(
@@ -457,8 +453,7 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
         batch_format="pyarrow",
     )
 
-    if broadcast_texts is None and fits_small(docs,
-                                              max_bytes=max_driver_bytes):
+    if fits_small(docs, max_bytes=MAX_DRIVER_BYTES):
         # Small-side gate: signatures/banding stay DISTRIBUTED (they
         # fuse with the read); only the tiny band rows (n_docs x bands
         # x 16B) and the gated texts are collected, and the pair-gen +
@@ -486,9 +481,7 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
     def _verify_rows(us, vs, ta, tb):
         return _verify_pairs_exact(us, vs, ta, tb, tau)
 
-    if broadcast_texts is None:
-        broadcast_texts = fits_small(docs, max_bytes=max_broadcast_bytes)
-    if broadcast_texts:
+    if fits_small(docs, max_bytes=MAX_BROADCAST_BYTES):
         # Fused path: pair-gen + in-bucket dedup + exact-Jaccard verify all
         # inside the ONE band-bucket cogroup (texts reach workers as a
         # zero-copy Arrow broadcast); cross-bucket duplicate candidates are
@@ -537,7 +530,7 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
             Max(on="jac", alias_name="jac")
         )
 
-    # scale path (> max_broadcast_bytes): candidate pairs are deduped
+    # scale path (> MAX_BROADCAST_BYTES): candidate pairs are deduped
     # within each bucket before the global (u, v) groupby so the second
     # all-to-all moves pre-deduped rows; texts attach via bucket joins.
     from kgray.ops.joins import bucket_join
@@ -730,16 +723,15 @@ def _simhash_bucket_pairs(df: pd.DataFrame, max_hamming: int,
 
 
 def simhash_dup_pairs(docs, max_hamming: int = 3, text_col: str = "text",
-                      id_col: str = "doc_id",
-                      max_driver_bytes: int = 32 << 20):
+                      id_col: str = "doc_id"):
     """Near-dup pairs by SimHash: band the 64-bit signature into 4 16-bit
     chunks (pigeonhole: hamming <= 3 implies one identical chunk), block
     on (chunk_idx, chunk_value), verify hamming distance in-block.
 
-    Inputs estimated under ``max_driver_bytes`` (32 MiB) run as one
+    Inputs estimated at or under ``MAX_DRIVER_BYTES`` (32 MiB) run as one
     in-process call through the same kernels (small-side gate: the two
-    shuffle barriers dominate tiny inputs); pass 0 to force the
-    distributed path."""
+    shuffle barriers dominate tiny inputs); KGRAY_FORCE_DISTRIBUTED
+    forces the distributed path."""
     max_block = 256
 
     def sig_rows(batch: pa.Table) -> pa.Table:
@@ -756,7 +748,7 @@ def simhash_dup_pairs(docs, max_hamming: int = 3, text_col: str = "text",
 
     blocked = docs.map_batches(sig_rows, batch_format="pyarrow")
 
-    if fits_small(docs, max_bytes=max_driver_bytes):
+    if fits_small(docs, max_bytes=MAX_DRIVER_BYTES):
         # Small-side gate: signatures stay DISTRIBUTED (fused with the
         # read); only the tiny block rows (n_docs x 4 x 24B) are collected
         # and the two shuffle barriers become one in-process call.
@@ -885,7 +877,6 @@ def _embedding_dup_pairs_blocked(embeddings, tau, id_col, vec_col, digits,
 def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
                         vec_col: str = "embedding", digits: int = 4,
                         strategy: str = "auto",
-                        max_brute_rows: int = 100_000,
                         num_centroids: int | None = None,
                         probes: int = 4, max_block: int = 4096):
     """All vector pairs with cosine >= tau.
@@ -893,7 +884,7 @@ def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
     ``strategy`` picks the execution plan; ``"auto"`` (default) gates on
     row count:
 
-    * ``"brute"`` (exact, <= ``max_brute_rows``): the full normalized
+    * ``"brute"`` (exact, <= ``MAX_BRUTE_ROWS``): the full normalized
       matrix is broadcast via the object store once and every batch
       multiplies against it — O(n^2) flops, one pass, no shuffle.  This
       is the oracle-exact small-side path, NOT the 100-TB default.
@@ -918,7 +909,7 @@ def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
     if strategy == "auto":
         from kgray.util import force_distributed
 
-        small = collect_small(embeddings, max_rows=max_brute_rows)
+        small = collect_small(embeddings, max_rows=MAX_BRUTE_ROWS)
         if small is not None:
             strategy = "brute"
         else:
@@ -1215,8 +1206,7 @@ def _dup_ngram_stats_distributed(docs, dup_ds, n, text_col, id_col, digits):
 
 
 def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
-                    id_col: str = "doc_id", digits: int = 4,
-                    max_broadcast: int = 50_000_000):
+                    id_col: str = "doc_id", digits: int = 4):
     """Intra-corpus duplicated-n-gram signal (the RefinedWeb-style
     boilerplate/dup-span cue): for every doc, how many of its n-gram
     OCCURRENCES also appear in at least one OTHER document, and the
@@ -1225,7 +1215,7 @@ def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
     Scale shape: pass 1 folds document frequency with a per-batch
     per-doc-DISTINCT combiner (shuffle moves shingle-vocab rows, not
     occurrences); shingles with df >= 2 broadcast once as an Arrow set
-    — above ``max_broadcast`` distinct shingles swap the isin for a
+    — above ``MAX_BROADCAST_ROWS`` distinct shingles swap the isin for a
     semi-join on the shingle column (same shape as
     ``ngram_contamination``'s documented fallback).  Pass 2 is
     shuffle-free: explode occurrences, one ``pc.is_in``, groupby-fold
@@ -1257,7 +1247,7 @@ def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
         .aggregate(Sum("df", alias_name="df"))
     )
     dup_ds = df_tbl.filter(expr="df >= 2").materialize()  # shingle-vocab
-    dup_tbl = collect_small(dup_ds, max_rows=max_broadcast)
+    dup_tbl = collect_small(dup_ds, max_rows=MAX_BROADCAST_ROWS)
     if dup_tbl is None:
         return _dup_ngram_stats_distributed(
             docs, dup_ds, n, text_col, id_col, digits
@@ -1578,8 +1568,7 @@ def minhash_cross_pairs(left, right, tau: float = 0.7,
 
 
 def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
-                             num_buckets: int = 16,
-                             max_broadcast_vocab: int = 50_000_000):
+                             num_buckets: int = 16):
     """PPJoin-style prefix-filtered exact set-similarity self-join — the
     alternative scale path to ``set_jaccard_pairs``, after Vernica,
     Carey & Li, "Efficient Parallel Set-Similarity Joins Using
@@ -1598,7 +1587,7 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
     Each surviving pair is emitted at exactly ONE token — the lowest-
     rank token common to both prefixes — so no cross-bucket dedup pass
     is needed.  Token frequency ranks are a vocab-scale fold broadcast
-    once (``max_broadcast_vocab`` gate; the fit_bigram_lm memory
+    once (``MAX_BROADCAST_ROWS`` gate; the fit_bigram_lm memory
     argument).  Output (u, v, jac) is identical to set_jaccard_pairs
     (paths-agree tests pin it)."""
     import ray
@@ -1620,7 +1609,7 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
         .aggregate(Sum("n", alias_name="n"))
         .materialize()
     )
-    freq_tbl = collect_small(freq_ds, max_rows=max_broadcast_vocab)
+    freq_tbl = collect_small(freq_ds, max_rows=MAX_BROADCAST_ROWS)
     if freq_tbl is None:
         # vocab too large to broadcast the rank order — auto-fall back
         # to the inverted-index path, which needs no global token order

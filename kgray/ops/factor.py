@@ -17,14 +17,14 @@ non-negative (ratings are quantities, v0 = S > 0), so DuckDB's
 truncating ``//`` equals numpy's floor division throughout.
 
 Scale shape: the rating table streams; each half-step attaches the
-opposite factor vector (broadcast dict under ``max_broadcast_keys``,
+opposite factor vector (broadcast dict under ``MAX_BROADCAST_KEYS``,
 ``joins.bucket_join`` above it or under KGRAY_FORCE_DISTRIBUTED) and
 folds per-key partials batch-side before ONE aggregate-scale shuffle.
 Factor tables are user-/item-key-scale, never rating-scale — and they
 stay MATERIALIZED DATASETS between half-steps: the distributed path
 feeds ``bucket_join`` a Dataset directly, so at billions of keys no
 round ever concatenates a factor table on the driver.  Only the gated
-broadcast path (<= ``max_broadcast_keys`` rows, or always at test
+broadcast path (<= ``MAX_BROADCAST_KEYS`` rows, or always at test
 scale) collects, because a broadcast dict is driver-built by
 definition.
 """
@@ -35,9 +35,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+# factor-table rows broadcast as a dict per half-step (read at call time)
+MAX_BROADCAST_KEYS = 2_000_000
+
 
 def _half_step(r_ds, key_col: str, other_col: str, rating_col: str,
-               other_ds, scale: int, max_broadcast_keys: int):
+               other_ds, scale: int):
     """One ALS half-step: new factors for ``key_col`` given the
     materialized ``other_col`` factor DATASET (columns: other_col, 'f'),
     which stays distributed on the bucket_join path — no driver concat."""
@@ -48,7 +51,7 @@ def _half_step(r_ds, key_col: str, other_col: str, rating_col: str,
 
     s2 = scale * scale
 
-    other_tbl = collect_small(other_ds, max_rows=max_broadcast_keys)
+    other_tbl = collect_small(other_ds, max_rows=MAX_BROADCAST_KEYS)
     if other_tbl is not None:
         # gated path only: a broadcast dict is driver-built by definition
         fmap_ref = ray.put(dict(zip(
@@ -96,8 +99,7 @@ def _half_step(r_ds, key_col: str, other_col: str, rating_col: str,
 
 
 def als1(r_ds, user_col: str, item_col: str, rating_col: str,
-         iters: int = 2, scale: int = 10_000,
-         max_broadcast_keys: int = 2_000_000):
+         iters: int = 2, scale: int = 10_000):
     """Run ``iters`` full ALS rounds (u half-step then v half-step) from
     v0 = scale; returns (user_factors, item_factors) as key-scale
     Datasets with integer column ``f``.  ``r_ds`` must be the
@@ -120,9 +122,7 @@ def als1(r_ds, user_col: str, item_col: str, rating_col: str,
     v_ds = items.map_batches(init, batch_format="pyarrow").materialize()
     u_ds = None
     for _ in range(iters):
-        u_ds = _half_step(r_ds, user_col, item_col, rating_col, v_ds,
-                          scale, max_broadcast_keys)
-        v_ds = _half_step(r_ds, item_col, user_col, rating_col, u_ds,
-                          scale, max_broadcast_keys)
+        u_ds = _half_step(r_ds, user_col, item_col, rating_col, v_ds, scale)
+        v_ds = _half_step(r_ds, item_col, user_col, rating_col, u_ds, scale)
 
     return u_ds, v_ds

@@ -42,16 +42,22 @@ def _symmetric(edges, u_col: str = "u", v_col: str = "v"):
     return edges.map_batches(sym, batch_format="pyarrow")
 
 
-def _small_graph(edges, max_edges: int, u_col: str = "u",
-                 v_col: str = "v", dedup: bool = False):
+# The in-process gate every op below shares: at or under this many edge
+# rows the op runs its index-array kernel on the driver
+MAX_INPROCESS_EDGES = 1_000_000
+
+
+def _small_graph(edges, u_col: str = "u", v_col: str = "v",
+                 dedup: bool = False):
     """The in-process gate of the index-array kernels below: None above
-    ``max_edges`` edges (the caller runs its partitioned path), else
+    ``MAX_INPROCESS_EDGES`` edges (or under KGRAY_FORCE_DISTRIBUTED; the
+    caller runs its partitioned path), else
     ``(df, nodes, src, dst)`` — the collected edge frame (``dedup`` drops
     repeated (u, v) rows), the sorted distinct endpoints, and the
     symmetric edge list (every u->v row, then every v->u row) as index
     arrays into ``nodes``: ``src[:len(df)]``/``dst[:len(df)]`` are the
     edges as given."""
-    tbl = collect_small(edges, max_rows=max_edges)
+    tbl = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if tbl is None:
         return None
     df = tbl.to_pandas()
@@ -108,8 +114,7 @@ def _pagerank_kernel(src: np.ndarray, dst: np.ndarray, nodes: np.ndarray,
 
 
 def pagerank(edges, iters: int = 10, damping: float = 0.85,
-             u_col: str = "u", v_col: str = "v", digits: int = 6,
-             max_inprocess_edges: int = 1_000_000):
+             u_col: str = "u", v_col: str = "v", digits: int = 6):
     """PageRank over the undirected edge set by ``iters`` rounds of
     power iteration: rank' = (1-d)/N + d * (Σ_{src->dst} rank/deg +
     dangling_mass/N).  Symmetric mention graphs have no dangling nodes,
@@ -128,7 +133,7 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
     from kgray.util import round_half_up
 
     edges = edges.materialize()
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         # in-process small-side gate (the CC/minhash pattern: shuffle
         # barriers cost seconds even for dozens of edges; under the gate
@@ -240,8 +245,7 @@ def _triangle_kernel(df: pd.DataFrame, u_col: str, v_col: str,
 
 
 def triangle_count(edges, u_col: str = "u", v_col: str = "v",
-                   max_degree: int = 4096,
-                   max_inprocess_edges: int = 1_000_000):
+                   max_degree: int = 4096):
     """Global triangle count via the node-iterator (wedge-check) MR
     algorithm.
 
@@ -259,7 +263,7 @@ def triangle_count(edges, u_col: str = "u", v_col: str = "v",
     from kgray.util import grouped_map, pairs_within_groups
 
     edges = edges.materialize()
-    small = collect_small(edges, max_rows=max_inprocess_edges)
+    small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
         # in-process small-side gate (see pagerank): same kernel, zero
         # shuffle barriers; paths-agree pinned in tests/test_graph.py
@@ -338,7 +342,6 @@ def _pagerank_int_kernel(src: np.ndarray, dst: np.ndarray, n: int,
 
 def pagerank_int(edges, iters: int = 4, scale: int = 10**12,
                  u_col: str = "u", v_col: str = "v",
-                 max_inprocess_edges: int = 1_000_000,
                  seeds=None):
     """Deterministic integer-arithmetic PageRank over the undirected
     edge set: rank' = (15*S)//(100*N) + (85*(Σ rank//deg + dang//N))//100
@@ -354,7 +357,7 @@ def pagerank_int(edges, iters: int = 4, scale: int = 10**12,
     from kgray.ops.joins import bucket_join
 
     edges = edges.materialize()
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
         if not len(nodes):
@@ -463,8 +466,7 @@ def pagerank_int(edges, iters: int = 4, scale: int = 10**12,
 
 
 def bfs_hops(edges, seeds, max_hops: int = 4,
-             u_col: str = "u", v_col: str = "v",
-             max_inprocess_edges: int = 1_000_000):
+             u_col: str = "u", v_col: str = "v"):
     """Bounded-depth BFS distances from a seed set over the undirected
     edge list — the transitive-closure / k-hop-neighborhood primitive.
     Exact integer min-relaxation, so the SQL oracle unrolls
@@ -485,7 +487,7 @@ def bfs_hops(edges, seeds, max_hops: int = 4,
     from kgray.ops.joins import bucket_join
 
     edges = edges.materialize()
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
         if not len(nodes):
@@ -562,8 +564,7 @@ def bfs_hops(edges, seeds, max_hops: int = 4,
 
 
 def landmark_distances(edges, landmarks, max_hops: int = 3,
-                       u_col: str = "u", v_col: str = "v",
-                       max_inprocess_edges: int = 1_000_000):
+                       u_col: str = "u", v_col: str = "v"):
     """Multi-source BFS distance sketch: hop distances from every
     LANDMARK to every reachable node over the undirected edge list —
     the landmark/pivot distance-labeling primitive (estimate d(x, y)
@@ -589,7 +590,7 @@ def landmark_distances(edges, landmarks, max_hops: int = 3,
     idx_of = {lm: i for i, lm in enumerate(lms)}
 
     edges = edges.materialize()
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
         out_n, out_l, out_d = [], [], []
@@ -679,8 +680,7 @@ def landmark_distances(edges, landmarks, max_hops: int = 3,
 
 
 def greedy_matching(edges, rounds: int = 3,
-                    u_col: str = "u", v_col: str = "v",
-                    max_inprocess_edges: int = 1_000_000):
+                    u_col: str = "u", v_col: str = "v"):
     """Distributed greedy MAXIMAL MATCHING (the parallel 'local-min
     edge' algorithm): each round every node nominates its minimum
     incident edge in the deterministic (u, v) order; an edge matched
@@ -719,7 +719,7 @@ def greedy_matching(edges, rounds: int = 3,
                          "v": pa.array([], pa.int64()),
                          "round": pa.array([], pa.int64())})
 
-    small = collect_small(e, max_rows=max_inprocess_edges)
+    small = collect_small(e, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
         df = small.to_pandas()
         uu = df["u"].to_numpy(np.int64)
@@ -798,8 +798,7 @@ def greedy_matching(edges, rounds: int = 3,
 
 
 def kcore(edges, k: int, rounds: int = 3,
-          u_col: str = "u", v_col: str = "v",
-          max_inprocess_edges: int = 1_000_000):
+          u_col: str = "u", v_col: str = "v"):
     """Fixed-round k-core peeling over the undirected edge list: each
     round recomputes degrees and drops nodes with degree < ``k`` plus
     their incident edges.  Returns (node, deg) over the edge set left
@@ -812,7 +811,7 @@ def kcore(edges, k: int, rounds: int = 3,
     Distributed path per round: ONE symmetric-explode count-combiner
     groupby for degrees + TWO semi-joins to drop incident edges —
     edge-scale shuffles that shrink as peeling proceeds, no node-scale
-    driver state.  In-process gate (``max_inprocess_edges``, collapsed
+    driver state.  In-process gate (``MAX_INPROCESS_EDGES``, collapsed
     by KGRAY_FORCE_DISTRIBUTED) runs the identical recurrence in numpy.
     """
     from ray.data.aggregate import Sum
@@ -820,7 +819,7 @@ def kcore(edges, k: int, rounds: int = 3,
     from kgray.ops.joins import semi_join
 
     edges = edges.materialize()
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         df, nodes, src, dst = small
         src, dst = src[:len(df)], dst[:len(df)]
@@ -914,8 +913,7 @@ def _hits_int_kernel(src: np.ndarray, dst: np.ndarray, nu: int, nv: int,
 
 
 def hits_int(edges, iters: int = 2, scale: int = 10**6,
-             u_col: str = "u", v_col: str = "v",
-             max_inprocess_edges: int = 1_000_000):
+             u_col: str = "u", v_col: str = "v"):
     """HITS hubs & authorities over the DIRECTED (u → v) edge set —
     natural on bipartite graphs (suppliers = hubs, parts = authorities).
     Integer fixed point: h₀ = S on every source node; per round
@@ -926,7 +924,7 @@ def hits_int(edges, iters: int = 2, scale: int = 10**6,
 
     Distributed round = 2 bucket joins (scores onto edge endpoints) +
     2 count-combiner groupbys + 2 scalar MAX folds; driver state is two
-    scalars per round.  In-process gate below ``max_inprocess_edges``
+    scalars per round.  In-process gate at or under ``MAX_INPROCESS_EDGES``
     (collapsed by KGRAY_FORCE_DISTRIBUTED) runs the same kernel.
     Returns (node, score, side) rows, side ∈ {'hub', 'auth'}."""
     from ray.data.aggregate import Sum
@@ -938,7 +936,7 @@ def hits_int(edges, iters: int = 2, scale: int = 10**6,
         return pa.table({"node": pa.array([], pa.int64()),
                          "score": pa.array([], pa.int64()),
                          "side": pa.array([], pa.string())})
-    small = collect_small(edges, max_rows=max_inprocess_edges)
+    small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
         df = small.to_pandas()
         hubs, hi = np.unique(df[u_col].to_numpy(), return_inverse=True)
@@ -1042,8 +1040,7 @@ def _node_triangle_kernel(df: pd.DataFrame, u_col: str, v_col: str,
 
 
 def node_triangles(edges, u_col: str = "u", v_col: str = "v",
-                   max_degree: int = 4096,
-                   max_inprocess_edges: int = 1_000_000):
+                   max_degree: int = 4096):
     """Per-node triangle participation counts over the undirected edge
     set (the local-clustering-coefficient numerator).  Same wedge-check
     MR as :func:`triangle_count` but wedges CARRY their center node:
@@ -1059,7 +1056,7 @@ def node_triangles(edges, u_col: str = "u", v_col: str = "v",
     from kgray.util import grouped_map, pairs_within_groups
 
     edges = edges.materialize()
-    small = collect_small(edges, max_rows=max_inprocess_edges)
+    small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
         return _node_triangle_kernel(small.to_pandas(), u_col, v_col,
                                      max_degree)
@@ -1145,8 +1142,7 @@ def _lpa_kernel(src: np.ndarray, dst: np.ndarray, n: int,
 
 
 def lpa_labels(edges, rounds: int = 3,
-               u_col: str = "u", v_col: str = "v",
-               max_inprocess_edges: int = 1_000_000):
+               u_col: str = "u", v_col: str = "v"):
     """Community detection by fixed-round synchronous label propagation
     (Raghavan et al. 2007) over the undirected edge set: label(v) ←
     most-frequent label among neighbors PLUS v's own current label
@@ -1168,7 +1164,7 @@ def lpa_labels(edges, rounds: int = 3,
     if edges.count() == 0:
         return pa.table({"node": pa.array([], pa.int64()),
                          "lbl": pa.array([], pa.int64())})
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
         lbl = _lpa_kernel(src, dst, len(nodes), rounds)
@@ -1214,8 +1210,7 @@ def lpa_labels(edges, rounds: int = 3,
 
 
 def bellman_ford(edges, seeds, rounds: int = 3,
-                 u_col: str = "u", v_col: str = "v", w_col: str = "w",
-                 max_inprocess_edges: int = 1_000_000):
+                 u_col: str = "u", v_col: str = "v", w_col: str = "w"):
     """Bounded-round single-source shortest paths over the undirected
     WEIGHTED edge list (integer weights) — Bellman-Ford relaxation:
     d_i(node) = MIN(d_{i-1}(node), MIN over edges d_{i-1}(src) + w).
@@ -1234,7 +1229,7 @@ def bellman_ford(edges, seeds, rounds: int = 3,
     if edges.count() == 0:
         return pa.table({"node": pa.array([], pa.int64()),
                          "dist": pa.array([], pa.int64())})
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         df, nodes, src, dst = small
         w = np.concatenate([df[w_col].to_numpy(np.int64)] * 2)
@@ -1336,8 +1331,7 @@ def _ppr_int_kernel(src: np.ndarray, dst: np.ndarray, n: int,
 
 
 def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
-            u_col: str = "u", v_col: str = "v",
-            max_inprocess_edges: int = 1_000_000):
+            u_col: str = "u", v_col: str = "v"):
     """Deterministic integer personalized PageRank from a seed set over
     the undirected edge list — proximity-to-seeds ranking (the "related
     entities" primitive).  ``seeds`` is a python list of node ids (a
@@ -1352,7 +1346,7 @@ def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
 
     seed_arr = np.unique(np.asarray(list(seeds), np.int64))
     edges = edges.materialize()
-    small = _small_graph(edges, max_inprocess_edges, u_col, v_col)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
         if not len(nodes):
@@ -1437,8 +1431,7 @@ def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
     return state.select_columns(["node", "r"])
 
 
-def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v",
-             max_inprocess_edges: int = 1_000_000):
+def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v"):
     """Deterministic Luby-style MAXIMAL INDEPENDENT SET over an
     undirected edge list: each round every ACTIVE node with a priority
     strictly below all its active neighbors' joins the set, its
@@ -1479,7 +1472,7 @@ def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v",
 
     e = edges.map_batches(norm, batch_format="pyarrow").materialize()
 
-    small = _small_graph(e, max_inprocess_edges, dedup=True)
+    small = _small_graph(e, dedup=True)
     if small is not None:
         _, nodes, src, dst = small
         h = _h(nodes)
@@ -1609,8 +1602,7 @@ def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v",
 
 
 def neighborhood_hll(edges, hops: int = 3, p: int = 10,
-                     u_col: str = "u", v_col: str = "v",
-                     max_inprocess_edges: int = 1_000_000):
+                     u_col: str = "u", v_col: str = "v"):
     """HyperBall-lite (Boldi, Rosa & Vigna 2011): the approximate
     NEIGHBORHOOD FUNCTION of the undirected graph — for each hop h, the
     estimated number of (node, reachable-node) pairs within distance h
@@ -1646,7 +1638,7 @@ def neighborhood_hll(edges, hops: int = 3, p: int = 10,
         return regs
 
     e = edges.materialize()
-    small = _small_graph(e, max_inprocess_edges, u_col, v_col, dedup=True)
+    small = _small_graph(e, u_col, v_col, dedup=True)
     if small is not None:
         _, nodes, src, dst = small
         n = len(nodes)

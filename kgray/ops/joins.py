@@ -292,36 +292,41 @@ def broadcast_join(
     return left.map_batches(apply, batch_format="pyarrow")
 
 
+# semi_join's key-set broadcast gate: estimated raw right-side bytes
+# (read at call time)
+MAX_BROADCAST_BYTES = 1 << 28
+
+
 def semi_join(left, right, on: str, right_on: str | None = None,
-              anti: bool = False, max_broadcast_bytes: int = 1 << 28,
-              bloom_bits: int | None = 1 << 24):
+              anti: bool = False, bloom_bits: int | None = 1 << 24):
     """Semi (EXISTS) / anti (NOT EXISTS) join of ``left`` against the key
     set of ``right``.
 
     The right side reduces to its DISTINCT key column first (per-batch
     combiner -> one small groupby), so what broadcasts is a key set, not
-    rows.  Under ``max_broadcast_bytes`` (estimated raw right size,
-    default 256 MB — a python set carries ~5-10x overhead per key, so
-    this bounds the driver-resident set to low GBs worst case) the set
-    ships via the object store and the filter runs inside map_batches
-    with no shuffle — the right plan for dimension-sized key sets at any
-    scale.  Above it, fall back to a bucket cogroup: both sides shuffle
-    ONCE on the key hash and the membership test runs per bucket — but
-    first, when ``bloom_bits`` is set (default 2^24 = 2 MB broadcast), a
-    distributed Bloom filter of the right keys pre-filters the left
-    INSIDE map_batches: rows the filter rejects are definitively absent
-    from the right (no false negatives), so only bloom-candidates pay
-    the cogroup shuffle; false positives are corrected by that exact
-    residual join, keeping results exact at any FP rate.  The anti path
-    reads ``left`` twice (definite-keeps + candidates) — materialize an
-    expensive upstream before calling, or pass ``bloom_bits=None``.
+    rows.  At or under ``MAX_BROADCAST_BYTES`` (estimated raw right
+    size, 256 MB — a python set carries ~5-10x overhead per key, so this
+    bounds the driver-resident set to low GBs worst case) the set ships
+    via the object store and the filter runs inside map_batches with no
+    shuffle — the right plan for dimension-sized key sets at any scale.
+    Above it (or under KGRAY_FORCE_DISTRIBUTED), fall back to a bucket
+    cogroup: both sides shuffle ONCE on the key hash and the membership
+    test runs per bucket — but first, when ``bloom_bits`` is set (default
+    2^24 = 2 MB broadcast), a distributed Bloom filter of the right keys
+    pre-filters the left INSIDE map_batches: rows the filter rejects are
+    definitively absent from the right (no false negatives), so only
+    bloom-candidates pay the cogroup shuffle; false positives are
+    corrected by that exact residual join, keeping results exact at any
+    FP rate.  The anti path reads ``left`` twice (definite-keeps +
+    candidates) — materialize an expensive upstream before calling, or
+    pass ``bloom_bits=None``.
     """
     right_on = right_on or on
     keys_ds = right.map_batches(
         lambda b: pa.table({"__k": pc_unique(b[right_on])}),
         batch_format="pyarrow",
     )
-    if fits_small(right, max_bytes=max_broadcast_bytes):
+    if fits_small(right, max_bytes=MAX_BROADCAST_BYTES):
         tbl = collect_table(keys_ds)
         keys = set(tbl["__k"].to_pylist()) if tbl.num_rows else set()
         return semi_join_filter(left, keys, on, keep=not anti)

@@ -348,20 +348,22 @@ def link_mentions(
     num_hashes: int = 64,
     bands: int = 32,
     tau: float = 0.6,
-    max_driver_mentions: int = 200_000,
 ):
     """Full linking pipeline: triples -> verified same-entity edges.
 
     ``mentions_from_triples`` then ``link_from_mentions`` over the
     materialized mention table: the small-side gate (at or under
-    ``max_driver_mentions`` distinct mentions the whole LSH+verify runs
+    ``MAX_DRIVER_MENTIONS`` distinct mentions the whole LSH+verify runs
     as one in-process call) and the distributed banded-cogroup path both
     live there, so the two entry points cannot drift."""
     return link_from_mentions(
         mentions_from_triples(triples).materialize(),
         num_hashes=num_hashes, bands=bands, tau=tau,
-        max_driver_mentions=max_driver_mentions,
     )
+
+
+# link_from_mentions' in-process gate (mention rows, read at call time)
+MAX_DRIVER_MENTIONS = 200_000
 
 
 def link_from_mentions(
@@ -370,7 +372,6 @@ def link_from_mentions(
     num_hashes: int = 64,
     bands: int = 32,
     tau: float = 0.6,
-    max_driver_mentions: int = 200_000,
 ):
     """Linking over a (mention_key, n) table.
 
@@ -387,15 +388,15 @@ def link_from_mentions(
     previous run and are UNIONED by the caller, never recomputed.
 
     Auto-gated like connected_components: at or under
-    ``max_driver_mentions`` mention rows the whole LSH+verify runs as one
+    ``MAX_DRIVER_MENTIONS`` mention rows the whole LSH+verify runs as one
     in-process call (the cogroup shuffles cost seconds even for tens of
-    edges); above it the distributed banded-cogroup path is the 100-TB
-    route.  Both paths share the signature/banding/verify kernels
-    (``_bucket_verify_df``)."""
+    edges); above it, or under KGRAY_FORCE_DISTRIBUTED, the distributed
+    banded-cogroup path is the 100-TB route.  Both paths share the
+    signature/banding/verify kernels (``_bucket_verify_df``)."""
     import pyarrow.compute as pc
     import ray.data as rd
 
-    tbl = collect_small(ments, max_rows=max_driver_mentions)
+    tbl = collect_small(ments, max_rows=MAX_DRIVER_MENTIONS)
     if tbl is not None:
         keys = pc.unique(tbl["mention_key"]).to_pylist() \
             if tbl.num_rows else []

@@ -113,9 +113,13 @@ def stratified_sample(ds, strata_col: str, id_col: str, k: int):
     )
 
 
+# rank_quantiles' driver-side histogram gate: distinct values (read at
+# call time)
+MAX_DISTINCT = 2_000_000
+
+
 def rank_quantiles(ds, col: str, ps: list[float],
-                   labels: list[str] | None = None,
-                   max_distinct: int = 2_000_000) -> pa.Table:
+                   labels: list[str] | None = None) -> pa.Table:
     """Exact global quantiles of ``col``: value-histogram combiner (one
     row per distinct value per batch) -> groupby-sum fold -> driver-side
     rank over the distinct-value table (metadata-scale: bounded by the
@@ -124,7 +128,7 @@ def rank_quantiles(ds, col: str, ps: list[float],
 
     High-cardinality auto-gate: the distinct-value table is only
     driver-safe for bounded domains (lengths, scores, cents).  Above
-    ``max_distinct`` distinct values (exact count of the folded
+    ``MAX_DISTINCT`` distinct values (exact count of the folded
     histogram, pre-screened by a 50k-row sample so the obvious
     continuous-column case never builds the histogram at all), the op
     switches to distributed value-range order-statistic SELECTION
@@ -135,18 +139,14 @@ def rank_quantiles(ds, col: str, ps: list[float],
     pins the range path."""
     from ray.data.aggregate import Sum
 
-    from kgray.util import gate
+    from kgray.util import collect_small, force_distributed
 
-    cap = gate(max_distinct)
-    if cap > 0:
-        # cheap pre-screen: a near-all-distinct sample means a
-        # continuous column — skip the (distinct-scale) histogram fold
-        samp = ds.limit(50_000).select_columns([col]).to_pandas()
-        likely_high = (len(samp) >= 50_000
-                       and samp[col].nunique() >= 0.8 * len(samp))
-    else:
-        likely_high = True
-    if likely_high:
+    if force_distributed():
+        return _range_select_quantiles(ds, col, ps, labels)
+    # cheap pre-screen: a near-all-distinct sample means a continuous
+    # column — skip the (distinct-scale) histogram fold
+    samp = ds.limit(50_000).select_columns([col]).to_pandas()
+    if len(samp) >= 50_000 and samp[col].nunique() >= 0.8 * len(samp):
         return _range_select_quantiles(ds, col, ps, labels)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -163,9 +163,10 @@ def rank_quantiles(ds, col: str, ps: list[float],
     )
     # exact safety net behind the sample screen: a half-distinct column
     # passes the 0.8 ratio but can still exceed the driver gate
-    if hist_ds.count() > cap:
+    hist_tbl = collect_small(hist_ds, max_rows=MAX_DISTINCT)
+    if hist_tbl is None:
         return _range_select_quantiles(ds, col, ps, labels)
-    hist = hist_ds.to_pandas().sort_values(col, ignore_index=True)
+    hist = hist_tbl.to_pandas().sort_values(col, ignore_index=True)
     total = int(hist["n"].sum())
     cum = hist["n"].cumsum().to_numpy()
     vals = hist[col].to_numpy()

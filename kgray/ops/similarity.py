@@ -62,24 +62,6 @@ def knn_brute(embeddings, query_vec, k: int = 10, id_col: str = "vec_id",
     return cands.sort(["sim", "vec_id"], descending=[True, False]).limit(k)
 
 
-class IvfIndex:
-    """Coarse quantizer state: centroids fit once per actor from a
-    broadcast sample (stateful-stage pattern)."""
-
-    def __init__(self, centroids_ref, vec_col: str = "embedding",
-                 id_col: str = "vec_id"):
-        import ray
-
-        self.centroids = ray.get(centroids_ref)  # (C, d), normalized
-        self.vec_col = vec_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_matrix(batch, self.vec_col))
-        assign = np.argmax(m @ self.centroids.T, axis=1).astype(np.int32)
-        return batch.append_column("bucket", pa.array(assign))
-
-
 def fit_centroids(embeddings, num_centroids: int = 16, sample_rows: int = 2048,
                   iters: int = 5, vec_col: str = "embedding", seed: int = 7):
     """Deterministic mini k-means on a head sample (driver-side, small)."""
@@ -99,23 +81,17 @@ def fit_centroids(embeddings, num_centroids: int = 16, sample_rows: int = 2048,
     return C
 
 
-def ivf_bucketize(embeddings, centroids: np.ndarray, concurrency=None):
-    """Assign every vector to its nearest centroid bucket.  Tasks by
-    default (centroids ship via the object store ref either way); pass
-    concurrency=(min,max) for an actor pool."""
-    import ray
+def ivf_bucketize(embeddings, centroids: np.ndarray):
+    """Assign every vector to its nearest centroid bucket: map tasks,
+    the (C, d) normalized centroids shipped in the closure."""
+    centroids = np.asarray(centroids, np.float64)
 
-    ref = ray.put(np.asarray(centroids, np.float64))
-    if concurrency is None:
-        return embeddings.map_batches(
-            IvfIndex(centroids_ref=ref), batch_format="pyarrow"
-        )
-    return embeddings.map_batches(
-        IvfIndex,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        fn_constructor_kwargs={"centroids_ref": ref},
-    )
+    def assign(batch: pa.Table) -> pa.Table:
+        m = _normalize(_matrix(batch, "embedding"))
+        bucket = np.argmax(m @ centroids.T, axis=1).astype(np.int32)
+        return batch.append_column("bucket", pa.array(bucket))
+
+    return embeddings.map_batches(assign, batch_format="pyarrow")
 
 
 def knn_ivf(embeddings, query_vec, k: int = 10, num_centroids: int = 16,

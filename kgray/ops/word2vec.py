@@ -107,16 +107,20 @@ def _init_embed(keys_ds, key_col: str, dim: int, scale: int, tag: str,
     return keys_ds.map_batches(init, batch_format="pyarrow").materialize()
 
 
-def _attach(pairs_ds, factor_ds, on: str, cols: list[str],
-            max_broadcast_keys: int):
-    """Attach factor columns to the pair table: broadcast dict under the
-    gate, bucket_join above it (factors stay a Dataset)."""
+# embedding-table rows broadcast as a dict by _attach (read at call time)
+MAX_BROADCAST_KEYS = 2_000_000
+
+
+def _attach(pairs_ds, factor_ds, on: str, cols: list[str]):
+    """Attach factor columns to the pair table: broadcast dict at or
+    under ``MAX_BROADCAST_KEYS`` rows, bucket_join above it or under
+    KGRAY_FORCE_DISTRIBUTED (factors stay a Dataset)."""
     import ray
 
     from kgray.ops.joins import bucket_join
     from kgray.util import collect_small
 
-    tbl = collect_small(factor_ds, max_rows=max_broadcast_keys)
+    tbl = collect_small(factor_ds, max_rows=MAX_BROADCAST_KEYS)
     if tbl is not None:
         fmap_ref = ray.put({
             k: tuple(vals) for k, *vals in zip(
@@ -149,8 +153,7 @@ def _sigmoid_coef(labels: np.ndarray, dots: np.ndarray,
     return labels.astype(np.float64) - sig_u[inv]
 
 
-def sgns_round(allp_ds, u_ds, v_ds, dim: int, scale: int, lr_den: int,
-               max_broadcast_keys: int):
+def sgns_round(allp_ds, u_ds, v_ds, dim: int, scale: int, lr_den: int):
     """One synchronous SGNS round; returns (new_u_ds, new_v_ds), both
     materialized key-scale Datasets."""
     from kgray.util import grouped_map
@@ -159,8 +162,8 @@ def sgns_round(allp_ds, u_ds, v_ds, dim: int, scale: int, lr_den: int,
     ucols = [f"u{d}" for d in range(dim)]
     vcols = [f"v{d}" for d in range(dim)]
 
-    j = _attach(allp_ds, u_ds, "w", ucols, max_broadcast_keys)
-    j = _attach(j, v_ds, "c", vcols, max_broadcast_keys)
+    j = _attach(allp_ds, u_ds, "w", ucols)
+    j = _attach(j, v_ds, "c", vcols)
     j = j.materialize()  # two grad folds read it; don't re-run the joins
 
     def grad_fold(key: str, other_cols: list[str]):
@@ -203,10 +206,10 @@ def sgns_round(allp_ds, u_ds, v_ds, dim: int, scale: int, lr_den: int,
 
         return upd
 
-    nu = _attach(du, u_ds, "w", ucols, max_broadcast_keys) \
+    nu = _attach(du, u_ds, "w", ucols) \
         .map_batches(apply_update("u", "w"), batch_format="pyarrow") \
         .materialize()
-    nv = _attach(dv, v_ds, "c", vcols, max_broadcast_keys) \
+    nv = _attach(dv, v_ds, "c", vcols) \
         .map_batches(apply_update("v", "c"), batch_format="pyarrow") \
         .materialize()
     return nu, nv
@@ -215,8 +218,7 @@ def sgns_round(allp_ds, u_ds, v_ds, dim: int, scale: int, lr_den: int,
 def train_word2vec(docs, text_col: str = "text", dim: int = 4,
                    k_neg: int = 2, lr_den: int = 4, iters: int = 1,
                    scale: int = 10_000, window: int = 2,
-                   init_div: int = 1,
-                   max_broadcast_keys: int = 2_000_000):
+                   init_div: int = 1):
     """Train SGNS embeddings over ``docs``; returns (u_ds, v_ds, nw_ds):
     input-embedding Dataset (w, u0..), output-embedding Dataset
     (c, v0..) and the per-word positive-mass table (w, n)."""
@@ -276,6 +278,5 @@ def train_word2vec(docs, text_col: str = "text", dim: int = 4,
                     init_div)
     v = _init_embed(vocab, "c", dim, scale, "v", "v", init_div)
     for _ in range(iters):
-        u, v = sgns_round(allp, u, v, dim, scale, lr_den,
-                          max_broadcast_keys)
+        u, v = sgns_round(allp, u, v, dim, scale, lr_den)
     return u, v, nw

@@ -165,20 +165,26 @@ def _edges_or_empty(edges_ds):
     ))
 
 
-def _entities_changed(old_entities, entity_map, max_driver_rows: int = 1_000_000) -> bool:
+# _entities_changed's in-process diff gate: rows of each entity map (read
+# at call time)
+MAX_DRIVER_ROWS = 1_000_000
+
+
+def _entities_changed(old_entities, entity_map) -> bool:
     """Did any OLD node's component change under the new entity map?
 
     Appends only ADD edges, so components only merge and nodes never
     disappear; a changed old component is the one case that invalidates
     previously-canonicalized partitions.  Entity maps are alias-graph
-    scale (nodes with >= 1 edge): when BOTH maps fit the gate the diff is
-    one pandas merge; otherwise a partitioned bucket join."""
+    scale (nodes with >= 1 edge): when BOTH maps have at most
+    ``MAX_DRIVER_ROWS`` rows the diff is one pandas merge; otherwise (or
+    under KGRAY_FORCE_DISTRIBUTED) a partitioned bucket join."""
     from kgray.util import collect_small
 
     old_mat = old_entities.materialize()
-    old_tbl = collect_small(old_mat, max_rows=max_driver_rows)
+    old_tbl = collect_small(old_mat, max_rows=MAX_DRIVER_ROWS)
     new_tbl = None if old_tbl is None else \
-        collect_small(entity_map, max_rows=max_driver_rows)
+        collect_small(entity_map, max_rows=MAX_DRIVER_ROWS)
     if new_tbl is not None:
         j = old_tbl.to_pandas().merge(new_tbl.to_pandas(), on="node",
                                       how="left", suffixes=("_old", "_new"))

@@ -4,7 +4,6 @@ name).  Submodules pair each Ray implementation with its DuckDB oracle
 SQL; ``CATALOG`` is built automatically from the ``q_<name>`` /
 ``SQL_<NAME>`` convention (a test pins the pairing)."""
 
-from kgray.queries import _common  # noqa: F401  (shared prelude)
 from kgray.queries._common import _query_vec, _read, _round_col  # noqa: F401
 
 _SUBMODULES = ["docs", "embeds", "tpch", "events", "curation", "analytics1",
@@ -12,8 +11,6 @@ _SUBMODULES = ["docs", "embeds", "tpch", "events", "curation", "analytics1",
                "analytics6", "analytics7", "analytics8", "analytics9",
                "analytics10", "analytics11", "analytics12", "analytics13",
                "analytics14", "llmdata", "round5"]
-
-_PRELUDE = set(_common.__all__) | {"np", "pd", "pa", "pc"}
 
 CATALOG: dict[str, tuple] = {}
 for _m in _SUBMODULES:
@@ -24,10 +21,7 @@ for _m in _SUBMODULES:
             _key = _n[2:]
             CATALOG[_key] = (getattr(_mod, _n),
                              getattr(_mod, "SQL_" + _key.upper(), None))
-        # flat-namespace compatibility: every non-prelude module-level
-        # name (incl. underscore helpers tests import) stays reachable
-        # as kgray.queries.<name>, first definition wins
-        if not _n.startswith("__") and _n not in _PRELUDE:
-            _v = getattr(_mod, _n)
-            if not isinstance(_v, type(_common)):
-                globals().setdefault(_n, _v)
+        # flat namespace: every q_* / SQL_* name is reachable as
+        # kgray.queries.<name>; helpers are imported from their module
+        if _n.startswith(("q_", "SQL_")):
+            globals()[_n] = getattr(_mod, _n)

@@ -3019,7 +3019,9 @@ def q_events_odds_ratio(sf_dir: str):
     user-id cohorts, with the Woolf log-normal 95% CI — the 2x2
     epidemiological effect size.  Cell counts are exact integers; ln,
     sqrt and exp appear once each in a term-for-term mirrored final
-    tree (libm parity, IEEE sqrt)."""
+    tree (libm parity, IEEE sqrt).  A zero cell gives the SQL division
+    semantics: odds_ratio NULL when b*c = 0 (else 0.0 when a*d = 0), and
+    a NULL CI whenever any cell is 0."""
     ev = _read(sf_dir, "events", ["user_id", "event_type"]).filter(
         expr="event_type == 'click' or event_type == 'purchase'")
 
@@ -3042,19 +3044,25 @@ def q_events_odds_ratio(sf_dir: str):
         ["g"], {k: (k, "sum") for k in ("a", "b", "c", "d")},
     ).to_pandas()
     a, b, c, d = (int(m[k].iloc[0]) for k in ("a", "b", "c", "d"))
-    orr = (float(a) * float(d)) / (float(b) * float(c))
-    se = math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
-    lo = math.exp(math.log(orr) - 1.96 * se)
-    hi = math.exp(math.log(orr) + 1.96 * se)
+    orr = lo = hi = None
+    if b and c:
+        orr = (float(a) * float(d)) / (float(b) * float(c))
+    if a and b and c and d:
+        se = math.sqrt(1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d)
+        lo = math.exp(math.log(orr) - 1.96 * se)
+        hi = math.exp(math.log(orr) + 1.96 * se)
+
+    def r6(x):
+        return None if x is None else float(round_half_up(x, 6))
+
     return pa.table({
         "a": pa.array([a], pa.int64()),
         "b": pa.array([b], pa.int64()),
         "c": pa.array([c], pa.int64()),
         "d": pa.array([d], pa.int64()),
-        "odds_ratio": pa.array([float(round_half_up(orr, 6))],
-                               pa.float64()),
-        "ci_lo": pa.array([float(round_half_up(lo, 6))], pa.float64()),
-        "ci_hi": pa.array([float(round_half_up(hi, 6))], pa.float64()),
+        "odds_ratio": pa.array([r6(orr)], pa.float64()),
+        "ci_lo": pa.array([r6(lo)], pa.float64()),
+        "ci_hi": pa.array([r6(hi)], pa.float64()),
     })
 
 
@@ -3080,8 +3088,8 @@ f AS (SELECT a, b, c, d,
       FROM cells)
 SELECT a, b, c, d,
        ROUND(orr, 6) AS odds_ratio,
-       ROUND(exp(ln(orr) - 1.96 * se), 6) AS ci_lo,
-       ROUND(exp(ln(orr) + 1.96 * se), 6) AS ci_hi
+       ROUND(exp(ln(NULLIF(orr, 0)) - 1.96 * se), 6) AS ci_lo,
+       ROUND(exp(ln(NULLIF(orr, 0)) + 1.96 * se), 6) AS ci_hi
 FROM f
 """
 

@@ -17,28 +17,24 @@ def force_distributed() -> bool:
     return os.environ.get("KGRAY_FORCE_DISTRIBUTED", "") not in ("", "0")
 
 
-def gate(threshold):
-    """Resolve a small-side gate threshold: under KGRAY_FORCE_DISTRIBUTED
-    every gate collapses to 0 (the in-process/broadcast shortcut never
-    fires and the partitioned path runs), otherwise the given threshold
-    stands.  Call it INSIDE the op on the resolved parameter so the env
-    knob also overrides explicitly-passed values."""
-    return 0 if force_distributed() else threshold
-
-
 def fits_small(ds, *, max_rows=None, max_bytes=None) -> bool:
     """The engine's one small-side decision: True when ``ds`` is at or
     under every given threshold (``max_rows`` against ``ds.count()``,
     ``max_bytes`` against ``ds.size_bytes()``; an unknown size never
-    fits).  Thresholds pass through ``gate``, so under
-    KGRAY_FORCE_DISTRIBUTED only an empty input fits.  Sites that gate
-    one Dataset but collect a projection of it call this directly;
-    everything else goes through ``collect_small``."""
+    fits).  Under KGRAY_FORCE_DISTRIBUTED every threshold collapses to
+    0, so only an empty input fits and the partitioned path runs.  The
+    thresholds are module constants next to each op, never op
+    parameters.  Sites that gate one Dataset but collect a projection of
+    it call this directly; everything else goes through
+    ``collect_small``."""
+    if force_distributed():
+        max_rows = None if max_rows is None else 0
+        max_bytes = None if max_bytes is None else 0
     if max_bytes is not None:
         est = ds.size_bytes()
-        if est is None or est > gate(max_bytes):
+        if est is None or est > max_bytes:
             return False
-    return max_rows is None or ds.count() <= gate(max_rows)
+    return max_rows is None or ds.count() <= max_rows
 
 
 def collect_table(ds) -> pa.Table:

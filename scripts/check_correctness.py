@@ -93,7 +93,12 @@ def main() -> int:
         if name not in oracles:
             print(f"ok   {name}: rows={len(got)} (rows-only) [{dt:.1f}s]")
             continue
-        want = canon(con.sql(oracles[name]).df())
+        try:
+            want = canon(con.sql(oracles[name]).df())
+        except Exception as e:  # e.g. DuckDB OutOfMemoryException
+            failures.append(name)
+            print(f"FAIL {name}: oracle error {type(e).__name__}: {e}")
+            continue
         if list(got.columns) != list(want.columns):
             failures.append(name)
             print(f"FAIL {name}: columns {list(got.columns)} != {list(want.columns)}")

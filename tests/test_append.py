@@ -151,6 +151,7 @@ def test_entities_changed_gates_both_maps(ray_session, monkeypatch):
     import pyarrow as pa
     import ray.data as rd
 
+    from kgray import pipeline
     from kgray.ops import joins
     from kgray.pipeline import _entities_changed
 
@@ -171,9 +172,11 @@ def test_entities_changed_gates_both_maps(ray_session, monkeypatch):
     same = emap(["b", "c", "d", "e"], ["b", "c", "b", "c"])
     merged = emap(["a", "b", "c", "d"], ["a", "a", "c", "c"])
     for new, want in ((same, False), (merged, True)):
-        assert _entities_changed(old, new, max_driver_rows=100) is want
+        monkeypatch.setattr(pipeline, "MAX_DRIVER_ROWS", 100)
+        assert _entities_changed(old, new) is want
         assert not calls  # both maps fit: in-process diff
-        assert _entities_changed(old, new, max_driver_rows=3) is want
+        monkeypatch.setattr(pipeline, "MAX_DRIVER_ROWS", 3)
+        assert _entities_changed(old, new) is want
         assert calls  # 2 old rows <= 3 < 4 new rows: partitioned
         calls.clear()
 

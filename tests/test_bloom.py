@@ -50,15 +50,14 @@ def _expected(left, right, anti):
     return left[~present if anti else present]
 
 
-def test_bloom_semi_and_anti_match_pandas(ray_session):
+def test_bloom_semi_and_anti_match_pandas(ray_session, monkeypatch):
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")  # the big-big path
     left, right = _sides()
     lds = rd.from_pandas(left, override_num_blocks=5)
     rds = rd.from_pandas(right, override_num_blocks=4)
     for anti in (False, True):
         got = (
-            semi_join(lds, rds, on="k", anti=anti,
-                      max_broadcast_bytes=0,  # force the big-big path
-                      bloom_bits=1 << 16)
+            semi_join(lds, rds, on="k", anti=anti, bloom_bits=1 << 16)
             .to_pandas()
             .sort_values(["k", "payload"])
             .reset_index(drop=True)
@@ -72,14 +71,15 @@ def test_bloom_semi_and_anti_match_pandas(ray_session):
         assert got["payload"].tolist() == want["payload"].tolist(), anti
 
 
-def test_bloom_exact_under_heavy_false_positives(ray_session):
+def test_bloom_exact_under_heavy_false_positives(ray_session, monkeypatch):
     # 256-bit filter over 3000 keys: nearly every probe is positive —
     # the exact residual join must still produce exact results
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")  # the big-big path
     left, right = _sides(seed=91)
     lds = rd.from_pandas(left, override_num_blocks=3)
     rds = rd.from_pandas(right, override_num_blocks=3)
     for anti in (False, True):
-        got = semi_join(lds, rds, on="k", anti=anti, max_broadcast_bytes=0,
+        got = semi_join(lds, rds, on="k", anti=anti,
                         bloom_bits=256).to_pandas()
         want = _expected(left, right, anti)
         assert sorted(got["k"].tolist()) == sorted(want["k"].tolist()), anti

@@ -46,13 +46,19 @@ def test_no_orphan_sql_constants():
 
 
 def test_flat_namespace_compat():
-    # consumers import q_*/SQL_*/underscore helpers from the package root
+    # consumers import q_*/SQL_* names from the package root
     from kgray.queries import (  # noqa: F401
         CATALOG,
         SQL_TPCH_Q1,
         _query_vec,
         q_tpch_q1,
     )
+
+    # module helpers are not re-exported: duplicate private names (two
+    # _ppr_sql, two _fd_sql, two _ZIPF_TOP) must not silently resolve to
+    # whichever module was imported first
+    assert not hasattr(Q, "_ppr_sql")
+    assert not hasattr(Q, "_ZIPF_TOP")
 
 
 def test_operators_index_is_current(ray_session):

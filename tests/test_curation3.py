@@ -767,7 +767,8 @@ def test_events_mad_outliers_matches_brute(ray_session, tmp_path):
 def test_bm25_matches_brute_formula(ray_session, tmp_path):
     import math
 
-    from kgray.queries import _BM25_TERMS, q_bm25_topk
+    from kgray.queries import q_bm25_topk
+    from kgray.queries.analytics1 import _BM25_TERMS
 
     rng = np.random.default_rng(137)
     vocab = np.array(_BM25_TERMS + ["alpha", "beta", "gamma"])

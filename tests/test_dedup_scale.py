@@ -43,21 +43,24 @@ def test_ivf_matches_brute_on_near_dup_clusters(ray_session):
     np.testing.assert_allclose(brute["cos"], ivf["cos"])
 
 
-def test_auto_strategy_gates_on_row_count(ray_session):
-    from kgray.ops.dedup import embedding_dup_pairs
+def test_auto_strategy_gates_on_row_count(ray_session, monkeypatch):
+    from kgray.ops import dedup
 
     emb = _clustered_embeddings(n_clusters=4, per_cluster=3)
     # tiny input + auto -> brute (exact); force the gate the other way
-    auto = embedding_dup_pairs(emb, tau=0.95).to_pandas()
-    forced = embedding_dup_pairs(emb, tau=0.95, max_brute_rows=1).to_pandas()
+    # (a row cap, not KGRAY_FORCE_DISTRIBUTED, so auto picks ivf)
+    auto = dedup.embedding_dup_pairs(emb, tau=0.95).to_pandas()
+    monkeypatch.setattr(dedup, "MAX_BRUTE_ROWS", 1)
+    forced = dedup.embedding_dup_pairs(emb, tau=0.95).to_pandas()
     assert set(map(tuple, auto[["u", "v"]].values)) == set(
         map(tuple, forced[["u", "v"]].values)
     )
 
 
-def test_minhash_auto_broadcast_paths_agree(ray_session):
-    """Auto-select and the forced bucket-join fallback give identical
-    pairs."""
+def test_minhash_auto_broadcast_paths_agree(ray_session, monkeypatch):
+    """Auto-select, the broadcast-texts plan and the forced bucket-join
+    fallback give identical pairs."""
+    from kgray.ops import dedup
     from kgray.ops.dedup import minhash_dup_pairs
 
     rs = np.random.RandomState(11)
@@ -71,15 +74,18 @@ def test_minhash_auto_broadcast_paths_agree(ray_session):
         docs.append({"doc_id": i + 1, "text": " ".join(near)})
     ds = rd.from_items(docs)
     key = ["u", "v"]
-    bc = (
-        minhash_dup_pairs(ds, tau=0.7, broadcast_texts=True)
-        .to_pandas().sort_values(key, ignore_index=True)
-    )
-    bj = (
-        minhash_dup_pairs(ds, tau=0.7, broadcast_texts=False)
-        .to_pandas().sort_values(key, ignore_index=True)
-    )
     auto = (
+        minhash_dup_pairs(ds, tau=0.7)
+        .to_pandas().sort_values(key, ignore_index=True)
+    )
+    # no in-process call: the input is under the broadcast gate
+    monkeypatch.setattr(dedup, "MAX_DRIVER_BYTES", 0)
+    bc = (
+        minhash_dup_pairs(ds, tau=0.7)
+        .to_pandas().sort_values(key, ignore_index=True)
+    )
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    bj = (
         minhash_dup_pairs(ds, tau=0.7)
         .to_pandas().sort_values(key, ignore_index=True)
     )
@@ -88,7 +94,8 @@ def test_minhash_auto_broadcast_paths_agree(ray_session):
     assert bc.equals(auto)
 
 
-def test_semi_join_broadcast_and_bucket_paths_agree(ray_session):
+def test_semi_join_broadcast_and_bucket_paths_agree(ray_session,
+                                                     monkeypatch):
     from kgray.ops.joins import semi_join
 
     left = rd.from_items(
@@ -101,11 +108,12 @@ def test_semi_join_broadcast_and_bucket_paths_agree(ray_session):
             semi_join(left, right, on="k", right_on="rk", anti=anti)
             .to_pandas().sort_values("k", ignore_index=True)
         )
+        monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
         bk = (
-            semi_join(left, right, on="k", right_on="rk", anti=anti,
-                      max_broadcast_bytes=0)
+            semi_join(left, right, on="k", right_on="rk", anti=anti)
             .to_pandas().sort_values("k", ignore_index=True)
         )
+        monkeypatch.delenv("KGRAY_FORCE_DISTRIBUTED")
         want = sorted(
             i for i in range(40) if (i % 3 == 0) != anti
         )
@@ -145,7 +153,7 @@ def test_asof_join_backward_semantics(ray_session):
     assert pd.isna(got[(2, 10)])   # key absent from right
 
 
-def test_ngram_bucket_count_path_matches_broadcast(ray_session):
+def test_ngram_bucket_count_path_matches_broadcast(ray_session, monkeypatch):
     from kgray.ops.dedup import ngram_jaccard_pairs
 
     rs = np.random.RandomState(9)
@@ -163,15 +171,17 @@ def test_ngram_bucket_count_path_matches_broadcast(ray_session):
         ngram_jaccard_pairs(ds, tau=0.7)
         .to_pandas().sort_values(key, ignore_index=True)
     )
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     bk = (
-        ngram_jaccard_pairs(ds, tau=0.7, max_broadcast_count_rows=0)
+        ngram_jaccard_pairs(ds, tau=0.7)
         .to_pandas().sort_values(key, ignore_index=True)
     )
     assert len(bc) > 5
     assert bc.equals(bk)
 
 
-def test_simhash_driver_and_distributed_paths_agree(ray_session):
+def test_simhash_driver_and_distributed_paths_agree(ray_session,
+                                                    monkeypatch):
     """The small-side in-process gate and the distributed blocked path
     return identical (u, v, hamming) rows."""
     from kgray.ops.dedup import simhash_dup_pairs
@@ -191,8 +201,9 @@ def test_simhash_driver_and_distributed_paths_agree(ray_session):
         simhash_dup_pairs(ds, max_hamming=3)
         .to_pandas().sort_values(key, ignore_index=True)
     )
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     dist = (
-        simhash_dup_pairs(ds, max_hamming=3, max_driver_bytes=0)
+        simhash_dup_pairs(ds, max_hamming=3)
         .to_pandas().sort_values(key, ignore_index=True)
     )
     assert len(drv) > 5

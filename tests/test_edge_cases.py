@@ -5,6 +5,7 @@ pending set is empty hits exactly these paths)."""
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from kgray.schema import DOCUMENTS_INTERLEAVED, TRIPLES
@@ -96,3 +97,32 @@ def test_resize_media_stage(ray_session):
         "media_ref", ignore_index=True
     )
     assert (out["payload"] == again["payload"]).all()
+
+
+@pytest.mark.parametrize("missing_purchase_parity", [1, 0])
+def test_odds_ratio_zero_cell_matches_oracle(ray_session, tmp_path,
+                                             missing_purchase_parity):
+    """A zero 2x2 cell gives the oracle's typed row, not an exception:
+    no odd-user purchase (c = 0) makes the odds ratio NULL, no even-user
+    purchase (a = 0) makes it 0.0, and either leaves the CI NULL."""
+    import duckdb
+    import numpy as np
+    import pandas as pd
+
+    from kgray.queries import SQL_EVENTS_ODDS_RATIO, q_events_odds_ratio
+
+    users = np.arange(1, 41, dtype=np.int64)
+    types = np.where(users % 3 == 0, "purchase", "click")
+    types[(users % 2 == missing_purchase_parity)] = "click"
+    pd.DataFrame({"user_id": users, "event_type": types}).to_parquet(
+        tmp_path / "events.parquet", index=False)
+
+    got = q_events_odds_ratio(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM "
+                f"read_parquet('{tmp_path}/events.parquet')")
+    want = con.execute(SQL_EVENTS_ODDS_RATIO).df()
+    assert list(got.columns) == list(want.columns)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert got[["ci_lo", "ci_hi"]].isna().all(axis=None)
+    assert got["odds_ratio"].isna().all() == (missing_purchase_parity == 1)

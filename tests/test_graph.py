@@ -109,24 +109,26 @@ def test_triangle_count_known_graphs(ray_session):
     assert got == 4
 
 
-def test_pagerank_paths_agree(ray_session):
+def test_pagerank_paths_agree(ray_session, monkeypatch):
     from kgray.ops.graph import pagerank
 
     df = _edges(n_nodes=30, n_edges=100, seed=5)
     ds = rd.from_pandas(df, override_num_blocks=4)
     gated = pagerank(ds, iters=6).to_pandas().set_index("node")["rank"]
-    dist = pagerank(ds, iters=6, max_inprocess_edges=0).to_pandas()
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    dist = pagerank(ds, iters=6).to_pandas()
     dist = dist.set_index("node")["rank"]
     assert len(gated) == len(dist)
     for node in gated.index:
         assert abs(gated[node] - dist[node]) < 1e-9, node
 
 
-def test_triangle_paths_agree(ray_session):
+def test_triangle_paths_agree(ray_session, monkeypatch):
     from kgray.ops.graph import triangle_count
 
     df = _edges(n_nodes=25, n_edges=140, seed=47)
     ds = rd.from_pandas(df, override_num_blocks=3)
     gated = triangle_count(ds)["n_triangles"][0].as_py()
-    dist = triangle_count(ds, max_inprocess_edges=0)["n_triangles"][0].as_py()
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    dist = triangle_count(ds)["n_triangles"][0].as_py()
     assert gated == dist

@@ -1,6 +1,6 @@
 """HITS / per-node triangles / label propagation (ops/graph.py):
 hand-computed tiny-graph values + in-process-vs-distributed paths-agree
-(``max_inprocess_edges=0`` forces the bucket-join/cogroup path)."""
+(``KGRAY_FORCE_DISTRIBUTED`` forces the bucket-join/cogroup path)."""
 
 import numpy as np
 import pandas as pd
@@ -32,13 +32,13 @@ def test_hits_int_hand_computed(ray_session):
     }
 
 
-def test_hits_paths_agree(ray_session):
+def test_hits_paths_agree(ray_session, monkeypatch):
     df = _rand_edges()
     ds = rd.from_pandas(df, override_num_blocks=3)
     inproc = pd.DataFrame(hits_int(ds, iters=2).to_pydict())
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     dist = (
-        hits_int(rd.from_pandas(df, override_num_blocks=3), iters=2,
-                 max_inprocess_edges=0)
+        hits_int(rd.from_pandas(df, override_num_blocks=3), iters=2)
         .to_pandas()
     )
     key = ["side", "node"]
@@ -55,15 +55,17 @@ def test_node_triangles_hand_computed(ray_session):
     assert got == {1: 2, 2: 2, 3: 1, 4: 1}
 
 
-def test_node_triangles_paths_agree_and_sum_to_3x(ray_session):
+def test_node_triangles_paths_agree_and_sum_to_3x(ray_session, monkeypatch):
     from kgray.ops.graph import triangle_count
 
     df = _rand_edges(n_nodes=20, n_edges=80)
     inproc = node_triangles(rd.from_pandas(df))
     inproc = dict(zip(inproc["node"].to_pylist(), inproc["tri"].to_pylist()))
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     dist_t = node_triangles(
-        rd.from_pandas(df, override_num_blocks=3), max_inprocess_edges=0
+        rd.from_pandas(df, override_num_blocks=3)
     ).to_pandas()
+    monkeypatch.delenv("KGRAY_FORCE_DISTRIBUTED")
     dist = dict(zip(dist_t["node"], dist_t["tri"]))
     assert inproc == dist
     total = triangle_count(rd.from_pandas(df))["n_triangles"][0].as_py()
@@ -88,13 +90,13 @@ def test_lpa_two_node_community_converges(ray_session):
     assert got == {3: 3, 7: 3}
 
 
-def test_lpa_paths_agree(ray_session):
+def test_lpa_paths_agree(ray_session, monkeypatch):
     df = _rand_edges(seed=13)
     inproc = lpa_labels(rd.from_pandas(df), rounds=3)
     inproc = dict(zip(inproc["node"].to_pylist(), inproc["lbl"].to_pylist()))
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     dist_t = lpa_labels(
         rd.from_pandas(df, override_num_blocks=3), rounds=3,
-        max_inprocess_edges=0,
     ).to_pandas()
     dist = dict(zip(dist_t["node"], dist_t["lbl"]))
     assert inproc == dist
@@ -121,7 +123,7 @@ def test_bellman_ford_two_hop_beats_direct(ray_session):
     assert got == {1: 0, 2: 2, 3: 5, 4: 6}
 
 
-def test_bellman_ford_paths_agree(ray_session):
+def test_bellman_ford_paths_agree(ray_session, monkeypatch):
     from kgray.ops.graph import bellman_ford
 
     df = _rand_edges(seed=23)
@@ -130,20 +132,21 @@ def test_bellman_ford_paths_agree(ray_session):
     inproc = bellman_ford(rd.from_pandas(df), seeds=[0, 5], rounds=3)
     inproc = dict(zip(inproc["node"].to_pylist(),
                       inproc["dist"].to_pylist()))
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     dist_t = bellman_ford(
-        rd.from_pandas(df, override_num_blocks=3), seeds=[0, 5],
-        rounds=3, max_inprocess_edges=0,
+        rd.from_pandas(df, override_num_blocks=3), seeds=[0, 5], rounds=3,
     ).to_pandas()
     dist = dict(zip(dist_t["node"], dist_t["dist"]))
     assert inproc == dist
 
 
-def test_bellman_ford_absent_seed_dropped(ray_session):
+def test_bellman_ford_absent_seed_dropped(ray_session, monkeypatch):
     from kgray.ops.graph import bellman_ford
 
     df = pd.DataFrame({"u": [1], "v": [2], "w": [4]})
-    for kw in ({}, {"max_inprocess_edges": 0}):
-        t = bellman_ford(rd.from_pandas(df), seeds=[1, 99], rounds=2, **kw)
+    for forced in ("", "1"):
+        monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", forced)
+        t = bellman_ford(rd.from_pandas(df), seeds=[1, 99], rounds=2)
         got = dict(zip(
             (t["node"].to_pylist() if isinstance(t, pa.Table)
              else t.to_pandas()["node"].tolist()),

@@ -93,7 +93,7 @@ def test_connected_components_two_clusters():
     assert m["a"] != m["x"]
 
 
-def test_connected_components_driver_and_distributed_agree():
+def test_connected_components_driver_and_distributed_agree(monkeypatch):
     """The small-graph driver union-find gate must emit exactly the
     distributed min-label-propagation result (incl. a 6-node chain that
     needs multiple propagation rounds)."""
@@ -106,8 +106,9 @@ def test_connected_components_driver_and_distributed_agree():
         connected_components(rd.from_items(items))
         .to_pandas().sort_values("node", ignore_index=True)
     )
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
     dist = (
-        connected_components(rd.from_items(items), max_driver_edges=0)
+        connected_components(rd.from_items(items))
         .to_pandas().sort_values("node", ignore_index=True)
     )
     assert drv.equals(dist)

@@ -90,18 +90,18 @@ def test_kcore_peels_to_the_clique(ray_session):
     assert got == {0: 3, 1: 3, 2: 3, 3: 3}
 
 
-def test_kcore_paths_agree(ray_session):
+def test_kcore_paths_agree(ray_session, monkeypatch):
     from kgray.ops.graph import kcore
 
     a = kcore(_edges_ds(_KCORE_EDGES), k=3, rounds=4).to_pandas()
-    b = kcore(_edges_ds(_KCORE_EDGES), k=3, rounds=4,
-              max_inprocess_edges=0).to_pandas()
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    b = kcore(_edges_ds(_KCORE_EDGES), k=3, rounds=4).to_pandas()
     sa = sorted(map(tuple, a.to_numpy()))
     sb = sorted(map(tuple, b.to_numpy()))
     assert sa == sb
 
 
-def test_kcore_fixed_rounds_short_of_convergence(ray_session):
+def test_kcore_fixed_rounds_short_of_convergence(ray_session, monkeypatch):
     """A peel chain needs 2 rounds; rounds=1 must stop mid-peel the same
     way on both paths (the oracle-by-construction contract)."""
     from kgray.ops.graph import kcore
@@ -111,8 +111,8 @@ def test_kcore_fixed_rounds_short_of_convergence(ray_session):
     edges = _KCORE_EDGES + [(3, 12), (12, 13)]
     one = kcore(_edges_ds(edges), k=2, rounds=1).to_pandas()
     two = kcore(_edges_ds(edges), k=2, rounds=2).to_pandas()
-    one_d = kcore(_edges_ds(edges), k=2, rounds=1,
-                  max_inprocess_edges=0).to_pandas()
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    one_d = kcore(_edges_ds(edges), k=2, rounds=1).to_pandas()
     assert sorted(map(tuple, one.to_numpy())) == \
         sorted(map(tuple, one_d.to_numpy()))
     # round 2 strictly shrinks: node 12 loses its leaf 13 in round 1,
@@ -267,7 +267,7 @@ def test_prefix_join_paths_agree(ray_session, tau, seed):
     assert key(got_i) == sorted(brute)
 
 
-def test_prefix_join_vocab_gate_auto_fallback(ray_session):
+def test_prefix_join_vocab_gate_auto_fallback(ray_session, monkeypatch):
     """Above the vocab broadcast gate the prefix join must DELEGATE to
     the inverted-index path (identical pairs), not raise."""
     from kgray.ops.dedup import set_jaccard_pairs_prefix
@@ -275,8 +275,7 @@ def test_prefix_join_vocab_gate_auto_fallback(ray_session):
     sets = _random_sets(7)
     exploded = _exploded_of(sets)
     want = set_jaccard_pairs_prefix(exploded, tau=0.5).to_pandas()
-    got = set_jaccard_pairs_prefix(
-        exploded, tau=0.5, max_broadcast_vocab=0
-    ).to_pandas()
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    got = set_jaccard_pairs_prefix(exploded, tau=0.5).to_pandas()
     key = lambda df: sorted(zip(df["u"], df["v"], df["jac"]))
     assert key(got) == key(want) and len(got) > 0

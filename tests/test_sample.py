@@ -343,16 +343,19 @@ def test_rank_quantiles_range_path_matches_histogram(ray_session, monkeypatch):
         assert hist.set_index("q")["value"][lab] == sv[rank - 1]
 
 
-def test_rank_quantiles_exact_safety_net(ray_session):
+def test_rank_quantiles_exact_safety_net(ray_session, monkeypatch):
     """A half-distinct column passes the 0.8 sample screen but must
-    still be exact through whichever path the gate picks (tiny
-    max_distinct forces the exact-count fallback to the range path)."""
+    still be exact through whichever path the gate picks (a tiny
+    MAX_DISTINCT forces the exact-count fallback to the range path)."""
+    from kgray.ops import sample
     from kgray.ops.sample import rank_quantiles
+
+    monkeypatch.setattr(sample, "MAX_DISTINCT", 10)
 
     rs = np.random.RandomState(3)
     vals = np.repeat(rs.uniform(0, 1000, 800), 2)  # distinct = n/2
     ds = rd.from_arrow(pa.table({"v": pa.array(vals, pa.float64())}))
-    out = rank_quantiles(ds, "v", [0.5, 0.9], max_distinct=10).to_pandas()
+    out = rank_quantiles(ds, "v", [0.5, 0.9]).to_pandas()
     sv = np.sort(vals)
     assert out.set_index("q")["value"]["p50"] == sv[int(np.ceil(0.5 * len(sv))) - 1]
     assert out.set_index("q")["value"]["p90"] == sv[int(np.ceil(0.9 * len(sv))) - 1]

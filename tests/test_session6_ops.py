@@ -2,7 +2,7 @@
 KL divergence, Welch t, SCD-2 history, dense rank) — DuckDB-oracle
 parity on edge-case fixtures PLUS paths-agree pins for the graph ops'
 distributed rounds (the in-process gate hides them at fixture scale, so
-``max_inprocess_edges=0`` forces the bucket-join/frontier path and the
+``KGRAY_FORCE_DISTRIBUTED`` forces the bucket-join/frontier path and the
 results must be row-identical)."""
 
 import duckdb
@@ -118,7 +118,8 @@ def test_pagerank_int_oracle(ray_session, tmp_path):
     assert g.loc[4] == g.loc[10000005]
 
 
-def test_pagerank_int_distributed_path_agrees(ray_session, tmp_path):
+def test_pagerank_int_distributed_path_agrees(ray_session, tmp_path,
+                                              monkeypatch):
     import ray.data as rd
 
     from kgray.ops.graph import pagerank_int
@@ -132,7 +133,8 @@ def test_pagerank_int_distributed_path_agrees(ray_session, tmp_path):
         batch_format="pandas",
     )
     gate = pagerank_int(edges, iters=4).to_pandas()
-    dist = pagerank_int(edges, iters=4, max_inprocess_edges=0)
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    dist = pagerank_int(edges, iters=4)
     dist = dist.to_pandas() if hasattr(dist, "to_pandas") else dist
     _cmp(dist, gate, ["node"])
 
@@ -165,7 +167,8 @@ def test_bfs_hops_oracle_and_levels(ray_session, tmp_path):
         assert absent not in d.index
 
 
-def test_bfs_hops_distributed_path_agrees(ray_session, tmp_path):
+def test_bfs_hops_distributed_path_agrees(ray_session, tmp_path,
+                                          monkeypatch):
     import ray.data as rd
 
     from kgray.ops.graph import bfs_hops
@@ -179,7 +182,8 @@ def test_bfs_hops_distributed_path_agrees(ray_session, tmp_path):
         batch_format="pandas",
     )
     gate = bfs_hops(edges, seeds=[1], max_hops=3).to_pandas()
-    dist = bfs_hops(edges, seeds=[1], max_hops=3, max_inprocess_edges=0)
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    dist = bfs_hops(edges, seeds=[1], max_hops=3)
     dist = dist.to_pandas() if hasattr(dist, "to_pandas") else dist
     _cmp(dist, gate, ["node"])
 
