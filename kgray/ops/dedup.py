@@ -545,7 +545,14 @@ def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
         )
         .groupby(["u", "v"])
         .aggregate(Count(alias_name="nbands"))
+        .materialize()
     )
+    if cand.schema() is None:
+        # no candidate pair: the groupby over no rows has no schema to
+        # join on; return the driver path's typed empty result
+        return rd.from_arrow(pa.table({"u": pa.array([], pa.int64()),
+                                       "v": pa.array([], pa.int64()),
+                                       "jac": pa.array([], pa.float64())}))
     j1 = bucket_join(cand, texts_ds, on="u", right_on="doc", how="left",
                      right_suffix="_u")
     j2 = bucket_join(j1, texts_ds, on="v", right_on="doc", how="left",

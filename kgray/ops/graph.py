@@ -1,17 +1,36 @@
-"""Graph analytics over edge datasets (beyond connected components).
+"""Graph analytics over (u, v) edge datasets.
 
 Edges are plain (u, v) rows — the output shape of ``linking.
-link_mentions`` / ``dedup.*_dup_pairs`` — so these compose directly
-with the KG linking chain.  Both ops treat the graph as UNDIRECTED
-(each edge contributes in both directions), matching the mention-link
-semantics.
+link_mentions`` / ``dedup.*_dup_pairs`` — so these ops compose directly
+with the KG linking chain.  Every op but :func:`hits_int` reads the
+graph as UNDIRECTED (each edge contributes in both directions, matching
+the mention-link semantics), so every node has degree >= 1.
 
-* ``node_degrees`` — one symmetric explode + count-combiner groupby.
-* ``pagerank`` — K rounds of power iteration; each round is ONE
-  bucket join (ranks onto edge sources) + ONE groupby (contributions
-  per destination), the same two-barrier round shape as
-  ``canonical.connected_components``.  Driver state is two scalars
-  (N, dangling mass) per round — never node-scale.
+Each op runs behind one in-process gate (``MAX_INPROCESS_EDGES`` edge
+rows, collapsed by KGRAY_FORCE_DISTRIBUTED so that only an empty input
+fits): at or under it a numpy kernel runs on the driver, above it a
+partitioned path of bucket joins and groupbys.  The shared pieces:
+
+* ``_small_graph`` — the gate plus the index arrays every kernel reads:
+  the sorted distinct nodes and the symmetric src/dst edge list.  An
+  empty edge list is an empty int64 graph.
+* ``_symmetric`` — the partitioned twin: one map that explodes each
+  (u, v) row into u->v and v->u, optionally carrying a weight column.
+* ``_pagerank_int_kernel`` — the one integer rank recurrence
+  r' = base + (85 * Σ r//deg) // 100 behind ``pagerank_int``, its
+  ``seeds=`` form and ``ppr_int``, which differ only in the start
+  vector r0 and the per-node base; ``_int_rank`` runs it on either path.
+* ``_rank_rounds`` — the partitioned round of ``pagerank``,
+  ``pagerank_int`` and ``ppr_int``: ranks bucket-joined onto edge
+  sources, one Sum groupby per destination, the sums left-joined back.
+  Callers pass the start value, the per-edge contribution and the
+  per-node update as functions.
+* ``_present_seeds`` — the seed rows of ``bfs_hops`` and
+  ``bellman_ford``; seeds absent from the graph count on neither path.
+* ``_bfs_kernel`` — the in-process frontier BFS of ``bfs_hops`` and
+  ``landmark_distances``.
+* ``_closed_wedges`` — closed-wedge counts per center: ``node_triangles``
+  folds them per node, ``triangle_count`` sums them and divides by 3.
 """
 
 from __future__ import annotations
@@ -24,20 +43,24 @@ import pyarrow.compute as pc
 from kgray.util import collect_small
 
 
-def _symmetric(edges, u_col: str = "u", v_col: str = "v"):
+def _empty(**cols) -> pa.Table:
+    """The 0-row result table with the given column types."""
+    return pa.table({c: pa.array([], t) for c, t in cols.items()})
+
+
+def _symmetric(edges, u_col: str = "u", v_col: str = "v",
+               w_col: str | None = None):
+    """Each (u, v) row as the two rows (src, dst) = u->v and v->u, plus
+    an int64 ``w`` column copied from ``w_col`` when it is given."""
     def sym(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": pa.concat_arrays(
-                    [batch[u_col].combine_chunks(),
-                     batch[v_col].combine_chunks()]
-                ),
-                "dst": pa.concat_arrays(
-                    [batch[v_col].combine_chunks(),
-                     batch[u_col].combine_chunks()]
-                ),
-            }
-        )
+        u = batch[u_col].combine_chunks()
+        v = batch[v_col].combine_chunks()
+        cols = {"src": pa.concat_arrays([u, v]),
+                "dst": pa.concat_arrays([v, u])}
+        if w_col is not None:
+            w = pc.cast(batch[w_col], pa.int64()).combine_chunks()
+            cols["w"] = pa.concat_arrays([w, w])
+        return pa.table(cols)
 
     return edges.map_batches(sym, batch_format="pyarrow")
 
@@ -56,10 +79,14 @@ def _small_graph(edges, u_col: str = "u", v_col: str = "v",
     repeated (u, v) rows), the sorted distinct endpoints, and the
     symmetric edge list (every u->v row, then every v->u row) as index
     arrays into ``nodes``: ``src[:len(df)]``/``dst[:len(df)]`` are the
-    edges as given."""
+    edges as given.  An empty input — typed, null-typed or with no
+    schema at all (a map over no rows emits no block) — is an empty
+    int64 graph."""
     tbl = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if tbl is None:
         return None
+    if not tbl.num_rows:
+        tbl = _empty(**{u_col: pa.int64(), v_col: pa.int64()})
     df = tbl.to_pandas()
     if dedup:
         df = df.drop_duplicates([u_col, v_col])
@@ -73,10 +100,16 @@ def _small_graph(edges, u_col: str = "u", v_col: str = "v",
 
 def node_degrees(edges, u_col: str = "u", v_col: str = "v"):
     """(node, degree) over the undirected edge set: symmetric explode,
-    per-batch count combiner, one groupby fold."""
+    per-batch count combiner, one groupby fold.  A self-loop counts
+    twice."""
+    import ray.data as rd
     from ray.data.aggregate import Sum
 
-    sym = _symmetric(edges, u_col, v_col)
+    edges = edges.materialize()
+    if edges.count() == 0:
+        # a map over no rows emits no block, and the groupby below would
+        # return a Dataset without a schema
+        return rd.from_arrow(_empty(node=pa.int64(), degree=pa.int64()))
 
     def partial(batch: pa.Table) -> pa.Table:
         vc = pa.table({"node": batch["src"]}).group_by("node").aggregate(
@@ -88,10 +121,57 @@ def node_degrees(edges, u_col: str = "u", v_col: str = "v"):
         )
 
     return (
-        sym.map_batches(partial, batch_format="pyarrow")
+        _symmetric(edges, u_col, v_col)
+        .map_batches(partial, batch_format="pyarrow")
         .groupby("node")
         .aggregate(Sum("degree", alias_name="degree"))
     )
+
+
+def _rank_rounds(edges, deg, iters: int, u_col: str, v_col: str,
+                 r0, contrib, update):
+    """``iters`` partitioned rank rounds over the undirected edge set —
+    the one distributed loop of :func:`pagerank`, :func:`pagerank_int`
+    and :func:`ppr_int`.  State is (node, degree, r) over the
+    :func:`node_degrees` table ``deg``, starting at r = r0(node).  A
+    round bucket-joins the state onto edge sources, sums
+    contrib(r, degree) per destination with one groupby, and left-joins
+    the sums back onto ``deg``: r' = update(node, Σ contrib), the sum
+    taken as 0 for a node without one.  The functions map numpy arrays
+    to numpy arrays.  Materialized per round (the CC-loop shape); the
+    driver holds no node-scale state.  Returns the final state."""
+    from ray.data.aggregate import Sum
+
+    from kgray.ops.joins import bucket_join
+
+    sym = _symmetric(edges, u_col, v_col).materialize()
+    state = deg.map_batches(
+        lambda b: b.append_column("r", pa.array(r0(b["node"].to_numpy()))),
+        batch_format="pyarrow",
+    ).materialize()
+    for _ in range(iters):
+        sums = bucket_join(
+            sym, state, on="src", right_on="node", how="inner"
+        ).map_batches(
+            lambda b: pa.table({
+                "dst": b["dst"],
+                "c": pa.array(contrib(b["r"].to_numpy(),
+                                      b["degree"].to_numpy())),
+            }),
+            batch_format="pyarrow",
+        ).groupby("dst").aggregate(Sum("c", alias_name="c"))
+        state = bucket_join(
+            deg, sums, on="node", right_on="dst", how="left"
+        ).map_batches(
+            lambda b: pa.table({
+                "node": b["node"],
+                "degree": b["degree"],
+                "r": pa.array(update(b["node"].to_numpy(),
+                                     pc.fill_null(b["c"], 0).to_numpy())),
+            }),
+            batch_format="pyarrow",
+        ).materialize()
+    return state
 
 
 def _pagerank_kernel(src: np.ndarray, dst: np.ndarray, nodes: np.ndarray,
@@ -104,32 +184,26 @@ def _pagerank_kernel(src: np.ndarray, dst: np.ndarray, nodes: np.ndarray,
     np.add.at(deg, src, 1.0)
     rank = np.full(n, 1.0 / n)
     for _ in range(iters):
-        dangling = rank[deg == 0].sum()
         contrib = np.zeros(n)
-        nz = deg[src] > 0
-        np.add.at(contrib, dst[nz], rank[src[nz]] / deg[src[nz]])
-        rank = (1 - damping) / n + damping * contrib + \
-            damping * dangling / n
+        np.add.at(contrib, dst, rank[src] / deg[src])
+        rank = (1 - damping) / n + damping * contrib
     return rank
 
 
 def pagerank(edges, iters: int = 10, damping: float = 0.85,
              u_col: str = "u", v_col: str = "v", digits: int = 6):
     """PageRank over the undirected edge set by ``iters`` rounds of
-    power iteration: rank' = (1-d)/N + d * (Σ_{src->dst} rank/deg +
-    dangling_mass/N).  Symmetric mention graphs have no dangling nodes,
-    but the mass term keeps the op correct for general edge lists.
+    power iteration: rank' = (1-d)/N + d * Σ_{src->dst} rank/deg.  The
+    op symmetrizes every input, so every node has degree >= 1 and no
+    rank mass dangles.
 
-    Scale shape: state is a (node, deg, rank) dataset; each round
-    bucket-joins it onto edge sources (contribution = rank/deg per edge
-    row), folds contributions per destination with a Sum groupby, and
-    rebuilds state with a second bucket join — materialized per round
-    (the CC-loop pattern).  The driver holds only N and the dangling
-    mass scalar.  Returns (node, rank) with rank rounded to ``digits``.
+    Scale shape: :func:`_rank_rounds` — per round ONE bucket join of the
+    (node, degree, rank) state onto edge sources (contribution =
+    rank/deg per edge row), ONE Sum groupby per destination and a
+    bucket join back, materialized per round (the CC-loop pattern).
+    The driver holds only N.  Returns (node, rank) with rank rounded to
+    ``digits``.
     """
-    from ray.data.aggregate import Sum
-
-    from kgray.ops.joins import bucket_join
     from kgray.util import round_half_up
 
     edges = edges.materialize()
@@ -141,8 +215,7 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
         # paths-agree pinned in tests/test_graph.py)
         _, nodes, src, dst = small
         if not len(nodes):
-            return pa.table({"node": pa.array([], pa.string()),
-                             "rank": pa.array([], pa.float64())})
+            return _empty(node=pa.int64(), rank=pa.float64())
         rank = _pagerank_kernel(src, dst, nodes, iters, damping)
         return pa.table(
             {"node": pa.array(nodes),
@@ -151,318 +224,173 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
 
     deg = node_degrees(edges, u_col, v_col).materialize()
     n = deg.count()
-    if n == 0:
-        return pa.table({"node": pa.array([], pa.string()),
-                         "rank": pa.array([], pa.float64())})
     base = (1.0 - damping) / n
-    init = 1.0 / n
-
-    def with_rank(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "rank", pa.array(np.full(len(batch), init), pa.float64())
-        )
-
-    state = deg.map_batches(with_rank, batch_format="pyarrow").materialize()
-    sym = _symmetric(edges, u_col, v_col).materialize()
-
-    for _ in range(iters):
-        # dangling mass: rank parked on zero-degree nodes (general edge
-        # lists only; a tiny filtered aggregate, not node-scale driver IO)
-        dangling = state.map_batches(
-            lambda b: pa.table(
-                {"m": pc.if_else(pc.equal(b["degree"], 0), b["rank"], 0.0)}
-            ),
-            batch_format="pyarrow",
-        ).sum("m") or 0.0
-        contrib = bucket_join(
-            sym, state, on="src", right_on="node", how="inner"
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "dst": b["dst"],
-                    "c": pc.divide(
-                        b["rank"], pc.cast(b["degree"], pa.float64())
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        sums = contrib.groupby("dst").aggregate(Sum("c", alias_name="c"))
-        uplift = base + damping * dangling / n
-
-        def rebuild(batch: pa.Table, uplift=uplift) -> pa.Table:
-            c = pc.fill_null(batch["c"], 0.0)
-            rank = pc.add(pc.multiply(c, damping), uplift)
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "degree": batch["degree"],
-                    "rank": rank,
-                }
-            )
-
-        state = bucket_join(
-            deg, sums, on="node", right_on="dst", how="left"
-        ).map_batches(rebuild, batch_format="pyarrow").materialize()
-
-    def finish(batch: pa.Table) -> pa.Table:
-        from kgray.util import round_half_up
-
-        return pa.table(
-            {
-                "node": batch["node"],
-                "rank": pa.array(
-                    round_half_up(
-                        batch["rank"].to_numpy(zero_copy_only=False), digits
-                    ),
-                    pa.float64(),
-                ),
-            }
-        )
-
-    return state.map_batches(finish, batch_format="pyarrow")
-
-
-def _triangle_kernel(df: pd.DataFrame, u_col: str, v_col: str,
-                     max_degree: int) -> int:
-    """Wedge-check math over a pandas edge frame — the in-process twin
-    of the distributed path (same cap, same canonicalization)."""
-    from kgray.util import pairs_within_groups
-
-    u = df[u_col].to_numpy(object)
-    v = df[v_col].to_numpy(object)
-    sym = pd.DataFrame(
-        {"center": np.concatenate([u, v]), "nbr": np.concatenate([v, u])}
+    state = _rank_rounds(
+        edges, deg, iters, u_col, v_col,
+        r0=lambda node: np.full(len(node), 1.0 / n),
+        contrib=lambda r, d: r / d,
+        update=lambda node, c: c * damping + base,
     )
-    dtype = df[u_col].dtype.name if df[u_col].dtype.kind in "iu" else "object"
-    w = pairs_within_groups(sym, "center", "nbr", max_block=max_degree,
-                            dtype=dtype)
-    canon = pd.DataFrame(
-        {"u": pd.array(np.minimum(u, v), dtype=dtype),
-         "v": pd.array(np.maximum(u, v), dtype=dtype)}
-    ).drop_duplicates()
-    return len(w.merge(canon, on=["u", "v"])) // 3
-
-
-def triangle_count(edges, u_col: str = "u", v_col: str = "v",
-                   max_degree: int = 4096):
-    """Global triangle count via the node-iterator (wedge-check) MR
-    algorithm.
-
-    Stage 1 (one cogroup on the center node): build per-node neighbor
-    lists and emit each node's WEDGES — ordered neighbor pairs
-    (w1 < w2).  Wedge volume is O(deg^2) per node; nodes above
-    ``max_degree`` are skipped (the LSH degenerate-block cap), bounding
-    the worst case.  Stage 2 (one cogroup on the pair's first element):
-    a wedge closes iff its (w1, w2) pair is a canonical (u < v) edge; a
-    triangle {a,b,c} contributes exactly three wedges (one per center,
-    each closed by the opposite edge), so triangles = closures / 3.
-    Returns a one-row (n_triangles) table."""
-    import pandas as pd
-
-    from kgray.util import grouped_map, pairs_within_groups
-
-    edges = edges.materialize()
-    small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
-    if small is not None:
-        # in-process small-side gate (see pagerank): same kernel, zero
-        # shuffle barriers; paths-agree pinned in tests/test_graph.py
-        n = _triangle_kernel(small.to_pandas(), u_col, v_col, max_degree)
-        return pa.table({"n_triangles": pa.array([n], pa.int64())})
-
-    sym = _symmetric(edges, u_col, v_col)
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        out = pairs_within_groups(
-            df.rename(columns={"src": "center", "dst": "nbr"}),
-            "center", "nbr", max_block=max_degree,
-            dtype=df["dst"].dtype.name if df["dst"].dtype.kind in "iu"
-            else "object",
-        )
-        out["is_edge"] = pd.array(np.zeros(len(out), np.int8), dtype="int8")
-        return out  # (u, v, is_edge=0): one row per wedge
-
-    wedge_rows = grouped_map(sym, "src", wedges)
-
-    def canon(batch: pa.Table) -> pa.Table:
-        u, v = batch[u_col], batch[v_col]
-        return pa.table(
-            {
-                "u": pc.min_element_wise(u, v),
-                "v": pc.max_element_wise(u, v),
-                "is_edge": pa.array(np.ones(len(batch), np.int8)),
-            }
-        )
-
-    edge_rows = edges.map_batches(canon, batch_format="pyarrow")
-
-    def close(df: pd.DataFrame) -> pd.DataFrame:
-        w = df[df["is_edge"] == 0]
-        e = df[df["is_edge"] == 1]
-        if not len(w) or not len(e):
-            return pd.DataFrame({"n": pd.array([0], dtype="int64")})
-        merged = w.merge(e[["u", "v"]].drop_duplicates(), on=["u", "v"])
-        return pd.DataFrame({"n": pd.array([len(merged)], dtype="int64")})
-
-    closed = grouped_map(wedge_rows.union(edge_rows), "u", close)
-    total = closed.sum("n") or 0
-    return pa.table({"n_triangles": pa.array([total // 3], pa.int64())})
+    return state.map_batches(
+        lambda b: pa.table({
+            "node": b["node"],
+            "rank": pa.array(round_half_up(b["r"].to_numpy(), digits),
+                             pa.float64()),
+        }),
+        batch_format="pyarrow",
+    )
 
 
 def _pagerank_int_kernel(src: np.ndarray, dst: np.ndarray, n: int,
-                         iters: int, scale: int,
-                         seed_idx: np.ndarray | None = None) -> np.ndarray:
+                         iters: int, scale: int, r0=None,
+                         base=None) -> np.ndarray:
     """Fixed-point integer power iteration (damping 85/100, all ops
-    int64 floor division) — bit-exact regardless of summation order,
-    which is what lets the SQL oracle unroll the same recurrence with
-    SUM/``//`` and match hash-for-hash (the Q9 integral-coefficient
-    lesson: floats drift across engines, integers cannot).  Shared by
-    the in-process gate, the distributed path and the brute test
-    oracle.  ``src``/``dst`` index the SYMMETRIC edge list.
-    ``seed_idx`` switches to PERSONALIZED pagerank: the 15% teleport
-    mass lands only on the seed nodes (split evenly, integer floor)
-    instead of uniformly."""
+    int64 floor division): r' = base + (85 * Σ_{src->dst} r//deg) // 100
+    from r = r0 — bit-exact regardless of summation order, which is what
+    lets the SQL oracle unroll the same recurrence with SUM/``//`` and
+    match hash-for-hash (the Q9 integral-coefficient lesson: floats
+    drift across engines, integers cannot).  ``src``/``dst`` index the
+    SYMMETRIC edge list, so every node has degree >= 1.  ``r0`` and
+    ``base`` (arrays over the ``n`` nodes, or a scalar ``base``) default
+    to the uniform start scale//n and teleport (15*scale)//(100*n);
+    personalized variants put either on the seed nodes only."""
     deg = np.zeros(n, np.int64)
     np.add.at(deg, src, 1)
-    rank = np.full(n, scale // n, np.int64)
-    if seed_idx is None:
-        basev = np.full(n, (15 * scale) // (100 * n), np.int64)
-    else:
-        basev = np.zeros(n, np.int64)
-        basev[seed_idx] = (15 * scale) // (100 * len(seed_idx))
-    nz = deg[src] > 0
-    snz, dnz = src[nz], dst[nz]
+    rank = np.full(n, scale // n, np.int64) if r0 is None else r0
+    if base is None:
+        base = (15 * scale) // (100 * n)
     for _ in range(iters):
-        dang = int(rank[deg == 0].sum())
         contrib = np.zeros(n, np.int64)
-        np.add.at(contrib, dnz, rank[snz] // deg[snz])
-        rank = basev + (85 * (contrib + dang // n)) // 100
+        np.add.at(contrib, dst, rank[src] // deg[src])
+        rank = base + (85 * contrib) // 100
     return rank
+
+
+def _int_rank(edges, seeds, iters: int, scale: int, u_col: str,
+              v_col: str, r0, base):
+    """The integer rank recurrence of :func:`pagerank_int` and
+    :func:`ppr_int` on either path: the in-process gate runs
+    :func:`_pagerank_int_kernel`, the partitioned path
+    :func:`_rank_rounds`.  ``r0(seed, n, q)`` and ``base(seed, n, q)``
+    give the start vector and the per-node base over a block of nodes
+    from its seed mask ``seed``, the node count n and the number q of
+    ``seeds`` that are graph nodes (None when ``seeds`` is None; absent
+    seeds are ignored on BOTH paths — the bellman_ford lesson).
+    Returns (node, r) int64, or None when no seed is a graph node."""
+    seed_arr = np.asarray([] if seeds is None else list(seeds))
+    edges = edges.materialize()
+    small = _small_graph(edges, u_col, v_col)
+    if small is not None:
+        _, nodes, src, dst = small
+        n = len(nodes)
+        q = None if seeds is None else int(np.isin(nodes, seed_arr).sum())
+    else:
+        deg = node_degrees(edges, u_col, v_col).materialize()
+        n = deg.count()
+        q = None if seeds is None else int(deg.map_batches(
+            lambda b: pa.table({"m": np.isin(b["node"].to_numpy(),
+                                             seed_arr).astype(np.int64)}),
+            batch_format="pyarrow",
+        ).sum("m") or 0)
+    if not n:
+        return _empty(node=pa.int64(), r=pa.int64())
+    if q == 0:
+        return None
+    if small is not None:
+        seed = np.isin(nodes, seed_arr)
+        rank = _pagerank_int_kernel(src, dst, n, iters, scale,
+                                    r0(seed, n, q), base(seed, n, q))
+        return pa.table({"node": pa.array(nodes),
+                         "r": pa.array(rank, pa.int64())})
+    return _rank_rounds(
+        edges, deg, iters, u_col, v_col,
+        r0=lambda node: r0(np.isin(node, seed_arr), n, q),
+        contrib=lambda r, d: r // d,
+        update=lambda node, c: (base(np.isin(node, seed_arr), n, q)
+                                + (85 * c) // 100),
+    ).select_columns(["node", "r"])
 
 
 def pagerank_int(edges, iters: int = 4, scale: int = 10**12,
                  u_col: str = "u", v_col: str = "v",
                  seeds=None):
     """Deterministic integer-arithmetic PageRank over the undirected
-    edge set: rank' = (15*S)//(100*N) + (85*(Σ rank//deg + dang//N))//100
-    with S = ``scale``.  Unlike float :func:`pagerank` (whose per-node
-    contribution sums are summation-order-sensitive), every operation
-    here is exact int64, so a DuckDB oracle that unrolls the identical
-    recurrence (integer ``//``, SUM, LEFT JOIN COALESCE 0) matches on
-    the value hash — this is the oracle-checkable face of the PageRank
-    family.  Same two-barrier round shape as :func:`pagerank`; returns
-    (node, r) with r int64."""
-    from ray.data.aggregate import Sum
+    edge set: rank' = (15*S)//(100*N) + (85*Σ rank//deg)//100 with
+    S = ``scale``, from rank = S//N.  Unlike float :func:`pagerank`
+    (whose per-node contribution sums are summation-order-sensitive),
+    every operation here is exact int64, so a DuckDB oracle that unrolls
+    the identical recurrence (integer ``//``, SUM, LEFT JOIN COALESCE 0)
+    matches on the value hash — this is the oracle-checkable face of the
+    PageRank family.  ``seeds`` switches to PERSONALIZED pagerank: the
+    15% teleport mass lands only on the q seeds that are graph nodes,
+    (15*S)//(100*q) each, and a ValueError is raised when there is none.
+    Same two-barrier round shape as :func:`pagerank`; returns (node, r)
+    with r int64."""
+    def base(seed, n, q):
+        if q is None:
+            return (15 * scale) // (100 * n)
+        return np.where(seed, (15 * scale) // (100 * q), 0)
 
-    from kgray.ops.joins import bucket_join
+    out = _int_rank(
+        edges, seeds, iters, scale, u_col, v_col,
+        r0=lambda seed, n, q: np.full(len(seed), scale // n, np.int64),
+        base=base,
+    )
+    if out is None:
+        raise ValueError("pagerank_int: no seed is a graph node")
+    return out
 
-    edges = edges.materialize()
-    small = _small_graph(edges, u_col, v_col)
-    if small is not None:
-        _, nodes, src, dst = small
-        if not len(nodes):
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "r": pa.array([], pa.int64())})
-        seed_idx = None
-        if seeds is not None:
-            # seeds filtered to graph nodes on BOTH paths (the
-            # bellman_ford lesson: absent seeds must not carry mass)
-            seed_idx = np.nonzero(
-                np.isin(nodes, np.unique(np.asarray(list(seeds)))))[0]
-            if not len(seed_idx):
-                raise ValueError("pagerank_int: no seed is a graph node")
-        rank = _pagerank_int_kernel(src, dst, len(nodes), iters, scale,
-                                    seed_idx)
-        return pa.table({"node": pa.array(nodes),
-                         "r": pa.array(rank, pa.int64())})
 
-    deg = node_degrees(edges, u_col, v_col).materialize()
-    n = deg.count()
-    if n == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "r": pa.array([], pa.int64())})
-    seed_set = None
-    if seeds is not None:
-        import ray as _ray
+def _present_seeds(sym, seeds):
+    """The ``seeds`` that are graph nodes as (node, dist=0) rows, from
+    the symmetric edge set ``sym`` — the start state of
+    :func:`bfs_hops` and :func:`bellman_ford` (the in-process kernels
+    and the SQL oracles drop absent seeds too).  With no seed present
+    the Dataset has no schema; callers return their typed empty."""
+    from ray.data.aggregate import Min
 
-        # count seeds PRESENT in the graph (distributed membership fold;
-        # the seed list itself is a constant-bounded broadcast)
-        sarr = np.unique(np.asarray(list(seeds)))
-        sref = _ray.put(sarr)
-        n_seed = int(deg.map_batches(
-            lambda b: pa.table({"m": pa.array(np.isin(
-                b["node"].to_numpy(zero_copy_only=False),
-                _ray.get(sref)).astype(np.int64))}),
-            batch_format="pyarrow").sum("m") or 0)
-        if n_seed == 0:
-            raise ValueError("pagerank_int: no seed is a graph node")
-        seed_set = (sref, (15 * scale) // (100 * n_seed))
-    base = (15 * scale) // (100 * n)
-    init = scale // n
-
-    def with_rank(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "r", pa.array(np.full(len(batch), init, np.int64))
-        )
-
-    state = deg.map_batches(with_rank, batch_format="pyarrow").materialize()
-    sym = _symmetric(edges, u_col, v_col).materialize()
-
-    for _ in range(iters):
-        dangling = int(
-            state.map_batches(
-                lambda b: pa.table(
-                    {"m": pc.if_else(pc.equal(b["degree"], 0), b["r"],
-                                     pa.scalar(0, pa.int64()))}
-                ),
-                batch_format="pyarrow",
-            ).sum("m") or 0
-        )
-        contrib = bucket_join(
-            sym, state, on="src", right_on="node", how="inner"
-        ).map_batches(
+    seed_arr = pa.array(list(seeds), pa.int64())
+    return (
+        sym.map_batches(
             lambda b: pa.table(
-                {
-                    "dst": b["dst"],
-                    "c": pa.array(
-                        b["r"].to_numpy() // b["degree"].to_numpy(),
-                        pa.int64(),
-                    ),
-                }
+                {"node": pc.unique(
+                    b["src"].combine_chunks().filter(
+                        pc.is_in(b["src"].combine_chunks(),
+                                 value_set=seed_arr)
+                    )
+                )}
             ),
             batch_format="pyarrow",
         )
-        sums = contrib.groupby("dst").aggregate(Sum("c", alias_name="c"))
-        uplift = dangling // n
+        .groupby("node")
+        .aggregate(Min("node", alias_name="_"))
+        .select_columns(["node"])
+        .map_batches(
+            lambda b: b.append_column(
+                "dist", pa.array(np.zeros(len(b), np.int64))
+            ),
+            batch_format="pyarrow",
+        )
+        .materialize()
+    )
 
-        def rebuild(batch: pa.Table, uplift=uplift) -> pa.Table:
-            c = pc.fill_null(batch["c"], pa.scalar(0, pa.int64()))
-            if seed_set is None:
-                bv = base
-            else:
-                import ray as _ray
 
-                sref_, sbase = seed_set
-                bv = np.where(
-                    np.isin(batch["node"].to_numpy(zero_copy_only=False),
-                            _ray.get(sref_)),
-                    np.int64(sbase), np.int64(0))
-            r = bv + (
-                85 * (c.to_numpy(zero_copy_only=False) + uplift)
-            ) // 100
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "degree": batch["degree"],
-                    "r": pa.array(r, pa.int64()),
-                }
-            )
-
-        state = bucket_join(
-            deg, sums, on="node", right_on="dst", how="left"
-        ).map_batches(rebuild, batch_format="pyarrow").materialize()
-
-    return state.select_columns(["node", "r"])
+def _bfs_kernel(src: np.ndarray, dst: np.ndarray, start: np.ndarray,
+                max_hops: int) -> np.ndarray:
+    """In-process frontier BFS over the symmetric index arrays: the hop
+    distance of every node from the ``start`` node mask, -1 where it is
+    not reached within ``max_hops``."""
+    dist = np.where(start, 0, -1).astype(np.int64)
+    frontier = start
+    for h in range(1, max_hops + 1):
+        nxt = np.zeros(len(dist), bool)
+        nxt[dst[frontier[src]]] = True
+        nxt &= dist < 0
+        if not nxt.any():
+            break
+        dist[nxt] = h
+        frontier = nxt
+    return dist
 
 
 def bfs_hops(edges, seeds, max_hops: int = 4,
@@ -484,56 +412,22 @@ def bfs_hops(edges, seeds, max_hops: int = 4,
     nodes with dist <= max_hops."""
     from ray.data.aggregate import Min
 
-    from kgray.ops.joins import bucket_join
+    from kgray.ops.joins import bucket_join, semi_join
 
     edges = edges.materialize()
     small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
-        if not len(nodes):
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "dist": pa.array([], pa.int64())})
-        dist = np.full(len(nodes), -1, np.int64)
-        dist[np.isin(nodes, np.asarray(list(seeds)))] = 0
-        frontier = dist == 0
-        for h in range(1, max_hops + 1):
-            hit = frontier[src]
-            nxt = np.zeros(len(nodes), bool)
-            nxt[dst[hit]] = True
-            nxt &= dist < 0
-            if not nxt.any():
-                break
-            dist[nxt] = h
-            frontier = nxt
+        dist = _bfs_kernel(src, dst, np.isin(nodes, np.asarray(list(seeds))),
+                           max_hops)
         keep = dist >= 0
         return pa.table({"node": pa.array(nodes[keep]),
                          "dist": pa.array(dist[keep], pa.int64())})
 
     sym = _symmetric(edges, u_col, v_col).materialize()
-    seed_arr = pa.array(list(seeds), pa.int64())
-    settled = (
-        sym.map_batches(
-            lambda b, s=seed_arr: pa.table(
-                {"node": pc.unique(
-                    b["src"].combine_chunks().filter(
-                        pc.is_in(b["src"].combine_chunks(),
-                                 value_set=s)
-                    )
-                )}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("node")
-        .aggregate(Min("node", alias_name="_"))
-        .select_columns(["node"])
-        .map_batches(
-            lambda b: b.append_column(
-                "dist", pa.array(np.zeros(len(b), np.int64))
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
+    settled = _present_seeds(sym, seeds)
+    if settled.count() == 0:
+        return _empty(node=pa.int64(), dist=pa.int64())
     frontier = settled
     for h in range(1, max_hops + 1):
         if frontier.count() == 0:
@@ -545,8 +439,6 @@ def bfs_hops(edges, seeds, max_hops: int = 4,
             .aggregate(Min("dst", alias_name="_"))
             .select_columns(["dst"])
         )
-        from kgray.ops.joins import semi_join
-
         fresh = semi_join(
             cand, settled, on="dst", right_on="node", anti=True
         ).map_batches(
@@ -594,29 +486,16 @@ def landmark_distances(edges, landmarks, max_hops: int = 3,
     if small is not None:
         _, nodes, src, dst = small
         out_n, out_l, out_d = [], [], []
-        if len(nodes):
-            for lm in lms:
-                if lm not in nodes:
-                    continue
-                dist = np.full(len(nodes), -1, np.int64)
-                dist[np.searchsorted(nodes, lm)] = 0
-                frontier = dist == 0
-                for h in range(1, max_hops + 1):
-                    nxt = np.zeros(len(nodes), bool)
-                    nxt[dst[frontier[src]]] = True
-                    nxt &= dist < 0
-                    if not nxt.any():
-                        break
-                    dist[nxt] = h
-                    frontier = nxt
-                keep = dist >= 0
-                out_n.append(nodes[keep])
-                out_l.append(np.full(keep.sum(), lm, np.int64))
-                out_d.append(dist[keep])
+        for lm in lms:
+            if lm not in nodes:
+                continue
+            dist = _bfs_kernel(src, dst, nodes == lm, max_hops)
+            keep = dist >= 0
+            out_n.append(nodes[keep])
+            out_l.append(np.full(keep.sum(), lm, np.int64))
+            out_d.append(dist[keep])
         if not out_n:
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "lm": pa.array([], pa.int64()),
-                             "dist": pa.array([], pa.int64())})
+            return _empty(node=pa.int64(), lm=pa.int64(), dist=pa.int64())
         return pa.table({
             "node": pa.array(np.concatenate(out_n).astype(np.int64)),
             "lm": pa.array(np.concatenate(out_l)),
@@ -715,9 +594,7 @@ def greedy_matching(edges, rounds: int = 3,
     ).materialize()
 
     if e.count() == 0:  # e.g. only self-loops: schema-less empty
-        return pa.table({"u": pa.array([], pa.int64()),
-                         "v": pa.array([], pa.int64()),
-                         "round": pa.array([], pa.int64())})
+        return _empty(u=pa.int64(), v=pa.int64(), round=pa.int64())
 
     small = collect_small(e, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
@@ -791,9 +668,7 @@ def greedy_matching(edges, rounds: int = 3,
         cur = semi_join(cur, dead, on="v", right_on="node",
                         anti=True).materialize()
     if matched is None:
-        return pa.table({"u": pa.array([], pa.int64()),
-                         "v": pa.array([], pa.int64()),
-                         "round": pa.array([], pa.int64())})
+        return _empty(u=pa.int64(), v=pa.int64(), round=pa.int64())
     return matched
 
 
@@ -808,14 +683,12 @@ def kcore(edges, k: int, rounds: int = 3,
     at convergence (edge set stable, detected and short-circuited) the
     result is the true k-core.
 
-    Distributed path per round: ONE symmetric-explode count-combiner
-    groupby for degrees + TWO semi-joins to drop incident edges —
+    Distributed path per round: ONE :func:`node_degrees` groupby (a
+    self-loop counts twice) + TWO semi-joins to drop incident edges —
     edge-scale shuffles that shrink as peeling proceeds, no node-scale
     driver state.  In-process gate (``MAX_INPROCESS_EDGES``, collapsed
     by KGRAY_FORCE_DISTRIBUTED) runs the identical recurrence in numpy.
     """
-    from ray.data.aggregate import Sum
-
     from kgray.ops.joins import semi_join
 
     edges = edges.materialize()
@@ -841,23 +714,9 @@ def kcore(edges, k: int, rounds: int = 3,
     cur = edges
     prev_count = edges.count()
     for _ in range(rounds):
-        def deg_partial(batch: pa.Table) -> pa.Table:
-            t = pa.table(
-                {
-                    "node": pa.concat_arrays(
-                        [batch[u_col].combine_chunks(),
-                         batch[v_col].combine_chunks()]
-                    )
-                }
-            )
-            g = t.group_by("node").aggregate([("node", "count")])
-            return g.rename_columns(["node", "dn"])
-
         keep = (
-            cur.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("dn", alias_name="deg"))
-            .filter(expr=f"deg >= {int(k)}")
+            node_degrees(cur, u_col, v_col)
+            .filter(expr=f"degree >= {int(k)}")
             .select_columns(["node"])
             .materialize()
         )
@@ -870,24 +729,11 @@ def kcore(edges, k: int, rounds: int = 3,
         if n == prev_count:
             break
         prev_count = n
-
-    def final_deg(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [batch[u_col].combine_chunks(),
-                     batch[v_col].combine_chunks()]
-                )
-            }
-        )
-        g = t.group_by("node").aggregate([("node", "count")])
-        return g.rename_columns(["node", "dn"])
-
-    return (
-        cur.map_batches(final_deg, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("dn", alias_name="deg"))
-    )
+    if prev_count == 0:
+        # every edge peeled: a rename over no rows passes the empty
+        # degree block through unrenamed
+        return _empty(node=pa.int64(), deg=pa.int64())
+    return node_degrees(cur, u_col, v_col).rename_columns({"degree": "deg"})
 
 
 def _hits_int_kernel(src: np.ndarray, dst: np.ndarray, nu: int, nv: int,
@@ -933,9 +779,7 @@ def hits_int(edges, iters: int = 2, scale: int = 10**6,
 
     edges = edges.materialize()
     if edges.count() == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "score": pa.array([], pa.int64()),
-                         "side": pa.array([], pa.string())})
+        return _empty(node=pa.int64(), score=pa.int64(), side=pa.string())
     small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
         df = small.to_pandas()
@@ -1012,54 +856,49 @@ def hits_int(edges, iters: int = 2, scale: int = 10**6,
     )
 
 
-def _node_triangle_kernel(df: pd.DataFrame, u_col: str, v_col: str,
-                          max_degree: int) -> pa.Table:
-    """Per-node triangle counts via wedge closure — each triangle
-    {a,b,c} closes exactly ONE wedge per center, so counting closed
-    wedges BY CENTER is the per-node count directly (no //3)."""
+def _node_triangle_kernel(nodes: np.ndarray, src: np.ndarray,
+                          dst: np.ndarray, max_degree: int) -> pa.Table:
+    """Per-node triangle counts via wedge closure over the symmetric
+    index arrays — each triangle {a,b,c} closes exactly ONE wedge per
+    center, so counting closed wedges BY CENTER is the per-node count
+    directly (no //3).  Centers above ``max_degree`` are skipped."""
     from kgray.util import pairs_within_groups
 
-    u = df[u_col].to_numpy()
-    v = df[v_col].to_numpy()
-    sym = pd.DataFrame(
-        {"center": np.concatenate([u, v]), "nbr": np.concatenate([v, u])}
+    m = len(src) // 2
+    w = pairs_within_groups(
+        pd.DataFrame({"center": src, "nbr": dst}), "center", "nbr",
+        max_block=max_degree, key_out="center",
     )
-    dtype = df[u_col].dtype.name if df[u_col].dtype.kind in "iu" else "object"
-    w = pairs_within_groups(sym, "center", "nbr", max_block=max_degree,
-                            dtype=dtype, key_out="center")
     canon = pd.DataFrame(
-        {"u": pd.array(np.minimum(u, v), dtype=dtype),
-         "v": pd.array(np.maximum(u, v), dtype=dtype)}
+        {"u": np.minimum(src[:m], dst[:m]),
+         "v": np.maximum(src[:m], dst[:m])}
     ).drop_duplicates()
-    closed = w.merge(canon, on=["u", "v"])
-    cnt = closed.groupby("center", sort=False).size()
+    cnt = w.merge(canon, on=["u", "v"]).groupby("center", sort=False).size()
     return pa.table(
-        {"node": pa.array(cnt.index.to_numpy()),
+        {"node": pa.array(nodes[cnt.index.to_numpy(np.int64)]),
          "tri": pa.array(cnt.to_numpy(np.int64), pa.int64())}
     )
 
 
-def node_triangles(edges, u_col: str = "u", v_col: str = "v",
-                   max_degree: int = 4096):
-    """Per-node triangle participation counts over the undirected edge
-    set (the local-clustering-coefficient numerator).  Same wedge-check
-    MR as :func:`triangle_count` but wedges CARRY their center node:
-    stage 1 (center cogroup) emits (u, v, center) wedges, stage 2 (pair
-    cogroup) closes them against canonical edges and folds partial
-    counts per center; a final Sum groupby merges partials.  A triangle
-    closes exactly one wedge per corner, so counts are per-node exact
-    (nodes on no triangle are absent — join degrees downstream).  Nodes
-    above ``max_degree`` are skipped, bounding wedge volume (documented
-    cap, same as triangle_count)."""
-    from ray.data.aggregate import Sum
-
+def _closed_wedges(edges, u_col: str, v_col: str, max_degree: int):
+    """Closed-wedge counts (node, tri) per wedge center by the
+    node-iterator (wedge-check) MR algorithm.  In process: one table
+    with one row per node on a triangle.  Partitioned: stage 1 (center
+    cogroup) emits each node's WEDGES — (u < v) neighbor pairs carrying
+    their center; volume is O(deg^2) per node, and nodes above
+    ``max_degree`` are skipped (the LSH degenerate-block cap), bounding
+    the worst case — and stage 2 (pair cogroup) closes them against the
+    canonical (u < v) edges, giving per-bucket partial counts (a node
+    may have several rows)."""
     from kgray.util import grouped_map, pairs_within_groups
 
     edges = edges.materialize()
-    small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
+    small = _small_graph(edges, u_col, v_col)
     if small is not None:
-        return _node_triangle_kernel(small.to_pandas(), u_col, v_col,
-                                     max_degree)
+        # in-process small-side gate (see pagerank): same wedge math,
+        # zero shuffle barriers; paths-agree pinned in tests
+        _, nodes, src, dst = small
+        return _node_triangle_kernel(nodes, src, dst, max_degree)
 
     sym = _symmetric(edges, u_col, v_col)
 
@@ -1104,8 +943,41 @@ def node_triangles(edges, u_col: str = "u", v_col: str = "v",
              "tri": cnt.to_numpy(np.int64)}
         )
 
-    partial = grouped_map(wedge_rows.union(edge_rows), "u", close)
-    return partial.groupby("node").aggregate(Sum("tri", alias_name="tri"))
+    return grouped_map(wedge_rows.union(edge_rows), "u", close)
+
+
+def node_triangles(edges, u_col: str = "u", v_col: str = "v",
+                   max_degree: int = 4096):
+    """Per-node triangle participation counts over the undirected edge
+    set (the local-clustering-coefficient numerator): the
+    :func:`_closed_wedges` counts, whose per-bucket partials a final
+    Sum groupby merges on the partitioned path.  A triangle closes
+    exactly one wedge per corner, so counts are per-node exact (nodes on
+    no triangle are absent — join degrees downstream).  Nodes above
+    ``max_degree`` are skipped, bounding wedge volume (documented cap,
+    same as triangle_count)."""
+    from ray.data.aggregate import Sum
+
+    part = _closed_wedges(edges, u_col, v_col, max_degree)
+    if isinstance(part, pa.Table):
+        return part
+    return part.groupby("node").aggregate(Sum("tri", alias_name="tri"))
+
+
+def triangle_count(edges, u_col: str = "u", v_col: str = "v",
+                   max_degree: int = 4096):
+    """Global triangle count: a triangle {a,b,c} closes three wedges
+    (one per corner), so the count is the sum of the
+    :func:`_closed_wedges` counts, integer-divided by 3 — on the
+    partitioned path a scalar Sum over the per-bucket partials, with no
+    groupby of its own.  Nodes above ``max_degree`` are skipped (the
+    node_triangles cap).  Returns a one-row (n_triangles) table."""
+    part = _closed_wedges(edges, u_col, v_col, max_degree)
+    if isinstance(part, pa.Table):
+        total = pc.sum(part["tri"]).as_py() or 0
+    else:
+        total = part.sum("tri") or 0
+    return pa.table({"n_triangles": pa.array([total // 3], pa.int64())})
 
 
 def _lpa_kernel(src: np.ndarray, dst: np.ndarray, n: int,
@@ -1161,9 +1033,6 @@ def lpa_labels(edges, rounds: int = 3,
     from kgray.util import grouped_map
 
     edges = edges.materialize()
-    if edges.count() == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "lbl": pa.array([], pa.int64())})
     small = _small_graph(edges, u_col, v_col)
     if small is not None:
         _, nodes, src, dst = small
@@ -1227,8 +1096,7 @@ def bellman_ford(edges, seeds, rounds: int = 3,
 
     edges = edges.materialize()
     if edges.count() == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "dist": pa.array([], pa.int64())})
+        return _empty(node=pa.int64(), dist=pa.int64())
     small = _small_graph(edges, u_col, v_col)
     if small is not None:
         df, nodes, src, dst = small
@@ -1245,49 +1113,10 @@ def bellman_ford(edges, seeds, rounds: int = 3,
         return pa.table({"node": pa.array(nodes[keep]),
                          "dist": pa.array(dist[keep], pa.int64())})
 
-    def sym_w(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": pa.concat_arrays(
-                    [batch[u_col].combine_chunks(),
-                     batch[v_col].combine_chunks()]
-                ),
-                "dst": pa.concat_arrays(
-                    [batch[v_col].combine_chunks(),
-                     batch[u_col].combine_chunks()]
-                ),
-                "w": pa.concat_arrays(
-                    [pc.cast(batch[w_col], pa.int64()).combine_chunks()] * 2
-                ),
-            }
-        )
-
-    sym = edges.map_batches(sym_w, batch_format="pyarrow").materialize()
-    # seed init mirrors bfs_hops: only seeds PRESENT in the graph get
-    # dist 0 (the in-process kernel and the SQL oracle drop absent ones)
-    seed_arr = pa.array(list(seeds), pa.int64())
-    state = (
-        sym.map_batches(
-            lambda b, s=seed_arr: pa.table(
-                {"node": pc.unique(
-                    b["src"].combine_chunks().filter(
-                        pc.is_in(b["src"].combine_chunks(), value_set=s)
-                    )
-                )}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("node")
-        .aggregate(Min("node", alias_name="_"))
-        .select_columns(["node"])
-        .map_batches(
-            lambda b: b.append_column(
-                "dist", pa.array(np.zeros(len(b), np.int64))
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
-    )
+    sym = _symmetric(edges, u_col, v_col, w_col).materialize()
+    state = _present_seeds(sym, seeds)
+    if state.count() == 0:
+        return _empty(node=pa.int64(), dist=pa.int64())
     for _ in range(rounds):
         cand = bucket_join(
             sym, state, on="src", right_on="node", how="inner"
@@ -1307,128 +1136,26 @@ def bellman_ford(edges, seeds, rounds: int = 3,
     return state
 
 
-def _ppr_int_kernel(src: np.ndarray, dst: np.ndarray, n: int,
-                    seed_mask: np.ndarray, iters: int,
-                    scale: int) -> np.ndarray:
-    """Fixed-point integer PERSONALIZED PageRank: restart mass lands on
-    the seed set only — r'(v) = [v∈Q]·(15·S)//(100·q) +
-    (85·Σ_in r//deg)//100 with q = |Q|.  All ops int64 floor division,
-    bit-exact in any summation order (the pagerank_int lesson), so the
-    SQL oracle unrolls the identical recurrence.  No dangling term: an
-    undirected edge list gives every present node degree >= 1 by
-    construction.  ``src``/``dst`` index the SYMMETRIC edge list."""
-    deg = np.zeros(n, np.int64)
-    np.add.at(deg, src, 1)
-    q = int(seed_mask.sum())
-    rank = np.where(seed_mask, scale // q, 0).astype(np.int64)
-    base = np.where(seed_mask, (15 * scale) // (100 * q), 0) \
-        .astype(np.int64)
-    for _ in range(iters):
-        contrib = np.zeros(n, np.int64)
-        np.add.at(contrib, dst, rank[src] // deg[src])
-        rank = base + (85 * contrib) // 100
-    return rank
-
-
 def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
             u_col: str = "u", v_col: str = "v"):
     """Deterministic integer personalized PageRank from a seed set over
     the undirected edge list — proximity-to-seeds ranking (the "related
-    entities" primitive).  ``seeds`` is a python list of node ids (a
-    query parameter, not data-scale — the bfs_hops convention); seeds
-    absent from the graph are ignored on BOTH paths.  Same two-barrier
-    round shape as :func:`pagerank_int`; returns (node, r) int64.
-    Overflow headroom: total mass stays ~scale, so 85·contrib <=
-    85·scale — safe at scale 10^12."""
-    from ray.data.aggregate import Sum
-
-    from kgray.ops.joins import bucket_join
-
-    seed_arr = np.unique(np.asarray(list(seeds), np.int64))
-    edges = edges.materialize()
-    small = _small_graph(edges, u_col, v_col)
-    if small is not None:
-        _, nodes, src, dst = small
-        if not len(nodes):
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "r": pa.array([], pa.int64())})
-        seed_mask = np.isin(nodes, seed_arr)
-        if not seed_mask.any():
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "r": pa.array([], pa.int64())})
-        rank = _ppr_int_kernel(src, dst, len(nodes), seed_mask, iters,
-                               scale)
-        return pa.table({"node": pa.array(nodes),
-                         "r": pa.array(rank, pa.int64())})
-
-    deg = node_degrees(edges, u_col, v_col).materialize()
-    # q counts seeds PRESENT in the graph (node-scale aggregate, one int)
-    present = deg.map_batches(
-        lambda b, s=pa.array(seed_arr, pa.int64()): pa.table(
-            {"m": pc.cast(
-                pc.is_in(b["node"].combine_chunks(), value_set=s),
-                pa.int64(),
-            )}
-        ),
-        batch_format="pyarrow",
-    ).sum("m")
-    q = int(present or 0)
-    if q == 0:
-        return pa.table({"node": pa.array([], pa.int64()),
-                         "r": pa.array([], pa.int64())})
-    init = scale // q
-    base_seed = (15 * scale) // (100 * q)
-    seed_pa = pa.array(seed_arr, pa.int64())
-
-    def with_rank(batch: pa.Table) -> pa.Table:
-        is_seed = pc.is_in(batch["node"].combine_chunks(),
-                           value_set=seed_pa)
-        r = pc.if_else(is_seed, pa.scalar(init, pa.int64()),
-                       pa.scalar(0, pa.int64()))
-        return batch.append_column("r", pc.cast(r, pa.int64()))
-
-    state = deg.map_batches(with_rank, batch_format="pyarrow").materialize()
-    sym = _symmetric(edges, u_col, v_col).materialize()
-
-    for _ in range(iters):
-        contrib = bucket_join(
-            sym, state, on="src", right_on="node", how="inner"
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "dst": b["dst"],
-                    "c": pa.array(
-                        b["r"].to_numpy() // b["degree"].to_numpy(),
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        sums = contrib.groupby("dst").aggregate(Sum("c", alias_name="c"))
-
-        def rebuild(batch: pa.Table) -> pa.Table:
-            c = pc.fill_null(batch["c"], pa.scalar(0, pa.int64()))
-            is_seed = pc.is_in(batch["node"].combine_chunks(),
-                               value_set=seed_pa)
-            base = pc.if_else(is_seed, pa.scalar(base_seed, pa.int64()),
-                              pa.scalar(0, pa.int64()))
-            r = base.to_numpy(zero_copy_only=False) + (
-                85 * c.to_numpy(zero_copy_only=False)
-            ) // 100
-            return pa.table(
-                {
-                    "node": batch["node"],
-                    "degree": batch["degree"],
-                    "r": pa.array(r, pa.int64()),
-                }
-            )
-
-        state = bucket_join(
-            deg, sums, on="node", right_on="dst", how="left"
-        ).map_batches(rebuild, batch_format="pyarrow").materialize()
-
-    return state.select_columns(["node", "r"])
+    entities" primitive): both the start mass and the restart mass land
+    on the seed set only, r0(v) = [v∈Q]·S//q and
+    r'(v) = [v∈Q]·(15·S)//(100·q) + (85·Σ_in r//deg)//100 with q = |Q|,
+    the :func:`pagerank_int` recurrence.  ``seeds`` is a python list of
+    node ids (a query parameter, not data-scale — the bfs_hops
+    convention); seeds absent from the graph are ignored on BOTH paths,
+    and with none present the result is empty.  Same two-barrier round
+    shape as :func:`pagerank_int`; returns (node, r) int64.  Overflow
+    headroom: total mass stays ~scale, so 85·contrib <= 85·scale — safe
+    at scale 10^12."""
+    out = _int_rank(
+        edges, seeds, iters, scale, u_col, v_col,
+        r0=lambda seed, n, q: np.where(seed, scale // q, 0),
+        base=lambda seed, n, q: np.where(seed, (15 * scale) // (100 * q), 0),
+    )
+    return _empty(node=pa.int64(), r=pa.int64()) if out is None else out
 
 
 def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v"):
@@ -1580,8 +1307,6 @@ def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v"):
         active = semi_join(active, removed, on="node", anti=True) \
             .materialize()
 
-    import ray.data as rd
-
     parts = []
     for lab, ds_ in done:
         parts.append(ds_.map_batches(
@@ -1643,8 +1368,7 @@ def neighborhood_hll(edges, hops: int = 3, p: int = 10,
         _, nodes, src, dst = small
         n = len(nodes)
         if n == 0:
-            return pa.table({"hop": pa.array([], pa.int64()),
-                             "est_pairs": pa.array([], pa.float64())})
+            return _empty(hop=pa.int64(), est_pairs=pa.float64())
         regs = init_regs(pa.array(nodes))
         # per-round segment max via pandas groupby.max over the gathered
         # (E, m) matrix: 7x faster than np.maximum.reduceat on 2D
@@ -1671,15 +1395,7 @@ def neighborhood_hll(edges, hops: int = 3, p: int = 10,
 
     from kgray.ops.joins import bucket_join
 
-    def norm(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "src": pa.concat_arrays([batch[u_col].combine_chunks(),
-                                     batch[v_col].combine_chunks()]),
-            "dst": pa.concat_arrays([batch[v_col].combine_chunks(),
-                                     batch[u_col].combine_chunks()]),
-        })
-
-    sym = e.map_batches(norm, batch_format="pyarrow").materialize()
+    sym = _symmetric(e, u_col, v_col).materialize()
     nodes_ds = pre_aggregate(
         sym.map_batches(lambda b: pa.table({"node": b["src"]}),
                         batch_format="pyarrow"),

@@ -310,3 +310,28 @@ def test_dup_ngram_stats_planted_boilerplate(ray_session):
         assert out.loc[d, "n_total"] == 6
         assert out.loc[d, "n_dup"] == 1
         assert abs(out.loc[d, "dup_frac"] - round(1 / 6, 4)) < 1e-9
+
+
+def test_minhash_bucket_join_path_without_candidates(ray_session,
+                                                     monkeypatch):
+    """Docs with no shared band: the forced bucket-join path returns the
+    driver path's typed empty (u, v, jac) instead of joining a
+    schema-less candidate set."""
+    import pyarrow as pa
+
+    from kgray.ops.dedup import minhash_dup_pairs
+    from kgray.util import collect_table
+
+    rs = np.random.RandomState(0)
+    docs = rd.from_items([
+        {"doc_id": i,
+         "text": " ".join(f"w{rs.randint(10**6)}" for _ in range(30))}
+        for i in range(20)
+    ])
+    want = pa.schema([("u", pa.int64()), ("v", pa.int64()),
+                      ("jac", pa.float64())])
+    driver = collect_table(minhash_dup_pairs(docs, tau=0.7))
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    forced = collect_table(minhash_dup_pairs(docs, tau=0.7))
+    assert driver.num_rows == forced.num_rows == 0
+    assert driver.schema.equals(want) and forced.schema.equals(want)

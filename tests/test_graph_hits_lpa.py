@@ -5,6 +5,7 @@ hand-computed tiny-graph values + in-process-vs-distributed paths-agree
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from kgray.ops.graph import hits_int, lpa_labels, node_triangles
@@ -102,13 +103,51 @@ def test_lpa_paths_agree(ray_session, monkeypatch):
     assert inproc == dist
 
 
-def test_hits_empty_edges(ray_session):
-    ds = rd.from_arrow(
-        pa.table({"u": pa.array([], pa.int64()),
-                  "v": pa.array([], pa.int64())})
-    )
-    t = hits_int(ds)
-    assert t.num_rows == 0
+_OPS = {
+    "node_degrees": lambda g, e: g.node_degrees(e),
+    "pagerank": lambda g, e: g.pagerank(e),
+    "triangle_count": lambda g, e: g.triangle_count(e),
+    "pagerank_int": lambda g, e: g.pagerank_int(e, seeds=[1]),
+    "bfs_hops": lambda g, e: g.bfs_hops(e, seeds=[1]),
+    "landmark_distances": lambda g, e: g.landmark_distances(e, [1]),
+    "greedy_matching": lambda g, e: g.greedy_matching(e),
+    "kcore": lambda g, e: g.kcore(e, 1),
+    "hits_int": lambda g, e: g.hits_int(e),
+    "node_triangles": lambda g, e: g.node_triangles(e),
+    "lpa_labels": lambda g, e: g.lpa_labels(e),
+    "bellman_ford": lambda g, e: g.bellman_ford(e, seeds=[1]),
+    "ppr_int": lambda g, e: g.ppr_int(e, seeds=[1]),
+    "luby_mis": lambda g, e: g.luby_mis(e),
+    "neighborhood_hll": lambda g, e: g.neighborhood_hll(e),
+}
+
+
+@pytest.mark.parametrize("source", ["arrow", "pandas"])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_empty_edges_keep_schema(ray_session, op, source):
+    """Every graph op returns on empty int64 edges the schema it returns
+    on a one-edge int64 graph — never a Python exception, a schema-less
+    Dataset or a null/string node column.  ``pandas`` is Ray's empty
+    pandas block, whose columns arrive null-typed."""
+    from kgray.ops import graph
+    from kgray.util import collect_table
+
+    def edges(n):
+        cols = {c: np.full(n, x, np.int64)
+                for c, x in (("u", 1), ("v", 2), ("w", 3))}
+        if source == "arrow":
+            return rd.from_arrow(pa.table(cols))
+        return rd.from_pandas(pd.DataFrame(cols))
+
+    def run(n):
+        t = _OPS[op](graph, edges(n))
+        t = t if isinstance(t, pa.Table) else collect_table(t)
+        return t.replace_schema_metadata(None)
+
+    empty, one = run(0), run(1)
+    assert empty.schema.equals(one.schema), (empty.schema, one.schema)
+    assert empty.to_pylist() == (
+        [{"n_triangles": 0}] if op == "triangle_count" else [])
 
 
 def test_bellman_ford_two_hop_beats_direct(ray_session):
@@ -138,6 +177,26 @@ def test_bellman_ford_paths_agree(ray_session, monkeypatch):
     ).to_pandas()
     dist = dict(zip(dist_t["node"], dist_t["dist"]))
     assert inproc == dist
+
+
+@pytest.mark.parametrize("op", ["bfs_hops", "bellman_ford"])
+def test_no_seed_present_gives_typed_empty(ray_session, monkeypatch, op):
+    """With every seed absent from the graph both paths return the same
+    typed empty (node, dist), never a schema-less Dataset or an
+    exception."""
+    from kgray.ops import graph
+    from kgray.util import collect_table
+
+    df = pd.DataFrame({"u": [1, 2], "v": [2, 3], "w": [4, 5]})
+    got = []
+    for forced in ("", "1"):
+        monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", forced)
+        t = getattr(graph, op)(rd.from_pandas(df), seeds=[99])
+        t = t if isinstance(t, pa.Table) else collect_table(t)
+        got.append(t.replace_schema_metadata(None))
+    want = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
+    assert [t.num_rows for t in got] == [0, 0]
+    assert all(t.schema.equals(want) for t in got), got
 
 
 def test_bellman_ford_absent_seed_dropped(ray_session, monkeypatch):
