@@ -7,12 +7,22 @@ shuffles with per-batch combiners (no driver-side row loops):
 * exact: hash-partition on content -> per-group first (D3 first-wins);
 * n-gram Jaccard: inverted shingle index -> shared-count pairs ->
   bucket-join doc shingle counts -> jaccard = shared/(na+nb-shared);
-* MinHash-LSH: reuse of the linking machinery (kgray.ops.linking) over
-  document text instead of mention surfaces;
-* SimHash: 64-bit signatures, banded by 16-bit chunks, hamming verify;
-* embedding: blocked brute-force cosine against a broadcast matrix (the
-  test-scale path; the LSH-bucketed variant for scale is in
-  kgray.ops.similarity).
+* MinHash-LSH: the engine's one MinHash scheme lives here and also
+  serves entity linking (kgray.ops.linking) — ``_hash_params`` ->
+  ``batch_signatures`` -> ``band_keys``, emitted as (band_key, id) rows
+  by ``_band_rows``; ``_candidate_pairs`` (``util.pairs_within_groups``
+  + dedup) makes the in-bucket pairs and ``_verify_jaccard`` is the one
+  exact-Jaccard verify, parameterized by the shingle function (word
+  3-grams of a document here, char 2-grams of a mention name there);
+  ``_minhash_verify`` is the bucket kernel of both small-side plans;
+* SimHash: 64-bit signatures, banded by 16-bit chunks, pairs from
+  ``util.pairs_within_groups``, vectorized-popcount hamming verify;
+* embedding: exact brute force against a broadcast matrix, exact
+  block-pair cogroup, or multi-probe IVF buckets — each emits through
+  ``_cos_pairs`` (u < v orientation, rounded cosine, typed empty).
+
+The word n-gram explode (every occurrence, or each distinct shingle) is
+``_explode_ngrams``, shared by decontamination and dup-n-gram stats.
 """
 
 from __future__ import annotations
@@ -24,7 +34,18 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import collect_small, collect_table, fits_small
+# pairs_within_groups is looked up on the module at call time, so a
+# wrapper installed on kgray.util (kgbench's tracer) sees every call
+from kgray import util
+from kgray.util import (
+    collect_small,
+    collect_table,
+    empty_table,
+    fits_small,
+    force_distributed,
+    grouped_map,
+    round_half_up,
+)
 
 # Small-side gates, read at call time (KGRAY_FORCE_DISTRIBUTED collapses
 # each to 0):
@@ -37,6 +58,17 @@ MAX_DRIVER_BYTES = 32 << 20
 MAX_BROADCAST_BYTES = 1 << 31
 # vectors for embedding_dup_pairs' exact brute-force broadcast
 MAX_BRUTE_ROWS = 100_000
+
+
+def _typed(ds, **cols):
+    """``ds`` with a 0-row block of the given column types unioned in:
+    Ray drops 0-row blocks through a map or groupby, so an op whose
+    input (or result) is empty would otherwise return a Dataset with no
+    columns."""
+    import ray.data as rd
+
+    return ds.union(rd.from_arrow(empty_table(**cols)))
+
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -74,13 +106,14 @@ def exact_dedup_groups(docs, text_col: str = "text", id_col: str = "doc_id"):
             }
         )
 
-    return (
+    return _typed(
         docs.map_batches(partial, batch_format="pyarrow")
         .groupby("h")
         .aggregate(
             Min("keep_id", alias_name="keep_id"),
             Sum("n_copies", alias_name="n_copies"),
-        )
+        ),
+        h=pa.string(), keep_id=pa.int64(), n_copies=pa.int64(),
     )
 
 
@@ -91,21 +124,35 @@ def exact_dedup_keep(docs, text_col: str = "text", id_col: str = "doc_id"):
     def project(batch: pa.Table) -> pa.Table:
         return pa.table({"doc_id": batch["keep_id"]})
 
-    return groups.map_batches(project, batch_format="pyarrow")
+    return _typed(groups.map_batches(project, batch_format="pyarrow"),
+                  doc_id=pa.int64())
 
 
 # ---------------------------------------------------------------------------
 # word-n-gram Jaccard near-dup (exact, SQL-oracle-checkable)
 # ---------------------------------------------------------------------------
 
-def word_shingles(text: str, n: int = 3) -> list[str]:
+def _word_ngrams(text: str, n: int) -> list[str]:
+    """Every word n-gram occurrence of ``text``, in order.  Texts shorter
+    than n tokens yield none — matches the SQL oracle's WHERE len >= n
+    (a whole-text shingle made two identical short docs a jac=1.0 pair
+    in Ray but zero rows in SQL)."""
     toks = text.split(" ")
-    if len(toks) < n:
-        # docs shorter than n tokens yield NO shingles — matches the SQL
-        # oracle's WHERE len >= n (a whole-text shingle here made two
-        # identical short docs a jac=1.0 pair in Ray but zero rows in SQL)
-        return []
-    return sorted({" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)})
+    return [" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)]
+
+
+def word_shingles(text: str, n: int = 3) -> list[str]:
+    return sorted(set(_word_ngrams(text, n)))
+
+
+def _explode_ngrams(texts: list, n: int, distinct: bool = False):
+    """(row index int64 array, grams) over every word n-gram occurrence
+    of each text — or each distinct shingle when ``distinct``."""
+    per = [word_shingles(t, n) if distinct else _word_ngrams(t, n)
+           for t in texts]
+    idx = np.repeat(np.arange(len(per), dtype=np.int64),
+                    [len(g) for g in per])
+    return idx, [g for gs in per for g in gs]
 
 
 def ngram_jaccard_pairs(docs, tau: float = 0.8, n: int = 3,
@@ -125,31 +172,25 @@ def ngram_jaccard_pairs(docs, tau: float = 0.8, n: int = 3,
     shared by >64 docs, which the oracle-checked corpora never hit.
     """
     def emit(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        texts = batch[text_col].to_pylist()
-        out_s, out_d = [], []
-        for i, t in zip(ids, texts):
-            sh = word_shingles(t, n)
-            out_s.extend(sh)
-            out_d.extend([int(i)] * len(sh))
+        idx, grams = _explode_ngrams(batch[text_col].to_pylist(), n,
+                                     distinct=True)
         return pa.table(
             {
-                "shingle": pa.array(out_s, pa.string()),
-                "doc": pa.array(out_d, pa.int64()),
+                "shingle": pa.array(grams, pa.string()),
+                "doc": pc.cast(batch[id_col], pa.int64()).take(idx),
             }
         )
 
     exploded = docs.map_batches(emit, batch_format="pyarrow")
 
     def count_shingles(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_pylist()
-        texts = batch[text_col].to_pylist()
+        idx, _ = _explode_ngrams(batch[text_col].to_pylist(), n,
+                                 distinct=True)
         return pa.table(
             {
-                "doc": pa.array([int(i) for i in ids], pa.int64()),
-                "nsh": pa.array(
-                    [len(word_shingles(t, n)) for t in texts], pa.int64()
-                ),
+                "doc": pc.cast(batch[id_col], pa.int64()),
+                "nsh": pa.array(np.bincount(idx, minlength=len(batch)),
+                                pa.int64()),
             }
         )
 
@@ -182,22 +223,14 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
     blocking stays lossless: containment >= tau > 0 still requires at
     least one common shingle.  Everything upstream of the finish
     (pair emission, count attach, both gate paths) is identical."""
-    from kgray.ops.joins import bucket_join
-
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        from kgray.util import pairs_within_groups
-
-        out = pairs_within_groups(df, "shingle", "doc", max_block)
+        out = util.pairs_within_groups(df, "shingle", "doc", max_block)
         # combiner: pre-sum (u, v) INSIDE the bucket — the same pair
         # repeats for every shared shingle hashed here, and near-unique
         # pair keys must never reach a groupby.aggregate (measured 30 s
         # for 1.1M pairs at sf0.1; the cogroup fold below is <2 s)
         if not len(out):
-            return pd.DataFrame(
-                {"u": pd.array([], dtype="int64"),
-                 "v": pd.array([], dtype="int64"),
-                 "shared": pd.array([], dtype="int64")}
-            )
+            return empty_table(u=pa.int64(), v=pa.int64(), shared=pa.int64())
         return (
             out.groupby(["u", "v"], sort=False).size().reset_index(
                 name="shared")
@@ -205,8 +238,6 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
 
     # coarse-bucket cogroup (ONE fn call per bucket, per-shingle grouping
     # vectorized inside) — per-tiny-group map_groups overhead is 100x
-    from kgray.util import grouped_map, round_half_up
-
     partials = grouped_map(exploded, "shingle", bucket_pairs,
                            num_buckets=num_buckets)
 
@@ -248,15 +279,12 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
     # territory, or the forced-distributed gate) counts attach via two
     # keyed union-cogroups — pair rows NEVER pay a groupby.aggregate or
     # a join stage in either path (the tpch_q13 union-cogroup shape).
+    val = "cont" if metric == "containment" else "jac"
     if n_items == 0:
         # empty item set (e.g. an upstream filter kept nothing): the
         # schema-less empty dataset can't even name its columns
-        val = "cont" if metric == "containment" else "jac"
-        return __import__("ray").data.from_arrow(pa.table({
-            "u": pa.array([], pa.int64()),
-            "v": pa.array([], pa.int64()),
-            val: pa.array([], pa.float64()),
-        }))
+        return __import__("ray").data.from_arrow(
+            empty_table(u=pa.int64(), v=pa.int64(), **{val: pa.float64()}))
     counts = counts.materialize()  # gate count + collect/cogroups reuse it
     counts_tbl = collect_small(counts, max_rows=MAX_BROADCAST_ROWS)
     if counts_tbl is not None:
@@ -300,12 +328,8 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
                         index=cnt["u"].to_numpy(np.int64))
         pr = df[df["nsh"].isna()]
         if not len(pr):
-            return pd.DataFrame(
-                {"v": pd.array([], dtype="int64"),
-                 "u": pd.array([], dtype="int64"),
-                 "shared": pd.array([], dtype="int64"),
-                 "nsh_u": pd.array([], dtype="int64")}
-            )
+            return empty_table(v=pa.int64(), u=pa.int64(), shared=pa.int64(),
+                               nsh_u=pa.int64())
         g = pr.groupby(["u", "v"], sort=False)["shared"].sum().reset_index()
         g["shared"] = g["shared"].astype(np.int64)
         g["nsh_u"] = nsh.reindex(g["u"].to_numpy(np.int64)).to_numpy(
@@ -334,13 +358,8 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
                         index=cnt["v"].to_numpy(np.int64))
         pr = df[df["nsh"].isna()].copy()
         if not len(pr):
-            return _jac_finish(pd.DataFrame(
-                {"u": pd.array([], dtype="int64"),
-                 "v": pd.array([], dtype="int64"),
-                 "shared": pd.array([], dtype="int64"),
-                 "nsh_u": pd.array([], dtype="int64"),
-                 "nsh_v": pd.array([], dtype="int64")}
-            ))
+            return empty_table(u=pa.int64(), v=pa.int64(),
+                               **{val: pa.float64()})
         pr["nsh_v"] = nsh.reindex(pr["v"].to_numpy(np.int64)).to_numpy(
             np.int64)
         pr["u"] = pr["u"].astype(np.int64)
@@ -350,230 +369,15 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
 
 
 # ---------------------------------------------------------------------------
-# MinHash-LSH near-dup over documents
+# MinHash-LSH: the one scheme behind document near-dup and entity linking
 # ---------------------------------------------------------------------------
 
-def _verify_pairs_exact(us, vs, ta, tb, tau: float):
-    """Exact word-shingle jaccard over candidate pairs; shingle sets
-    memoized per distinct text (pairs repeat texts heavily).  Shared by
-    the distributed verify stages AND the small-side driver path."""
-    from kgray.util import round_half_up
-
-    cache: dict = {}
-
-    def sh(t):
-        s = cache.get(t)
-        if s is None:
-            s = cache[t] = set(word_shingles(t or ""))
-        return s
-
-    ku, kv, js = [], [], []
-    for u, v, a, b in zip(us, vs, ta, tb):
-        sa, sb = sh(a), sh(b)
-        if not sa or not sb:
-            continue
-        j = len(sa & sb) / len(sa | sb)
-        if j >= tau:
-            ku.append(u)
-            kv.append(v)
-            js.append(float(round_half_up(j, 4)))
-    return ku, kv, js
-
-
-def _driver_minhash_pairs(banded_df: pd.DataFrame, text_of: dict,
-                          tau: float, max_block: int) -> pa.Table:
-    """Pair-gen + exact-Jaccard verify of collected band rows in-process —
-    the small-side fast path for the SHUFFLE half only (signatures stay
-    distributed in the caller; barriers, not compute, dominate tiny
-    inputs).  Same kernels as the distributed path."""
-    from kgray.util import pairs_within_groups
-
-    pairs = pairs_within_groups(banded_df, "band_key", "doc", max_block)
-    if len(pairs):
-        pairs = pairs.drop_duplicates(ignore_index=True)
-    ku, kv, js = _verify_pairs_exact(
-        pairs["u"].tolist(), pairs["v"].tolist(),
-        [text_of.get(u) for u in pairs["u"].tolist()],
-        [text_of.get(v) for v in pairs["v"].tolist()],
-        tau,
-    )
-    out = pd.DataFrame({"u": ku, "v": kv, "jac": js})
-    if len(out):
-        out = out.groupby(["u", "v"], sort=False)["jac"].max().reset_index()
-    return pa.table(
-        {
-            "u": pa.array(out["u"].tolist(), pa.int64()),
-            "v": pa.array(out["v"].tolist(), pa.int64()),
-            "jac": pa.array(out["jac"].tolist(), pa.float64()),
-        }
-    )
-
-
-def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
-                      id_col: str = "doc_id", num_hashes: int = 64,
-                      bands: int = 32):
-    """Near-dup pairs by MinHash-LSH over word-3-gram shingles.
-
-    The execution plan follows the Dataset's estimated size: at or under
-    ``MAX_DRIVER_BYTES`` (32 MiB) the whole job runs as one in-process
-    call (the small-side gate — shuffle barriers dominate tiny inputs);
-    at or under ``MAX_BROADCAST_BYTES`` (2 GiB) the doc->text map is
-    collected once and broadcast via the object store; above it (or when
-    no size estimate exists, or under KGRAY_FORCE_DISTRIBUTED) the
-    partitioned ``bucket_join`` path runs — never an unbounded
-    driver-side collect."""
-    import ray.data as rd
-
-    from kgray.ops.linking import _hash_params, minhash_signature
-
-    # tasks, not an actor pool: the state is 64 hash params, trivial to
-    # ship in the closure, and tasks scale to every core with no pool ramp
-    params = _hash_params(num_hashes)
-
-    def doc_bands(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch[id_col].to_pylist(), np.int64)
-        texts = batch[text_col].to_pylist()
-        sigs = batch_signatures(
-            [word_shingles(t) for t in texts], params
-        )  # (n_docs, num_hashes) — one vectorized pass, no per-doc loop
-        out_doc = np.repeat(ids, bands)
-        return pa.table(
-            {
-                "band_key": pa.array(band_keys(sigs, bands)),
-                "doc": pa.array(out_doc),
-            }
-        )
-
-    banded = docs.map_batches(doc_bands, batch_format="pyarrow")
-
-    max_block = 128
-    texts_ds = docs.map_batches(
-        lambda b: pa.table({"doc": b[id_col].cast(pa.int64()),
-                            "text": b[text_col]}),
-        batch_format="pyarrow",
-    )
-
-    if fits_small(docs, max_bytes=MAX_DRIVER_BYTES):
-        # Small-side gate: signatures/banding stay DISTRIBUTED (they
-        # fuse with the read); only the tiny band rows (n_docs x bands
-        # x 16B) and the gated texts are collected, and the pair-gen +
-        # verify shuffles are replaced by one in-process call.
-        tt = collect_table(texts_ds)
-        bt = collect_table(banded)
-        df = (
-            pd.DataFrame(
-                {c: bt[c].to_numpy(zero_copy_only=False)
-                 for c in ("band_key", "doc")}
-            )
-            if bt.num_rows
-            else pd.DataFrame({"band_key": [], "doc": []})
-        )
-        text_of = dict(zip(tt["doc"].to_pylist(), tt["text"].to_pylist())) \
-            if tt.num_rows else {}
-        return rd.from_arrow(
-            _driver_minhash_pairs(df, text_of, tau, max_block)
-        )
-
-    from ray.data.aggregate import Count
-
-    from kgray.util import grouped_map, pairs_within_groups
-
-    def _verify_rows(us, vs, ta, tb):
-        return _verify_pairs_exact(us, vs, ta, tb, tau)
-
-    if fits_small(docs, max_bytes=MAX_BROADCAST_BYTES):
-        # Fused path: pair-gen + in-bucket dedup + exact-Jaccard verify all
-        # inside the ONE band-bucket cogroup (texts reach workers as a
-        # zero-copy Arrow broadcast); cross-bucket duplicate candidates are
-        # verified redundantly (deterministic, tiny) and collapse in a
-        # final Max-aggregate over the verified pairs — 2 shuffles total
-        # instead of cogroup + candidate groupby + 2 join stages.
-        import pyarrow.compute as pc
-        import ray
-        from ray.data.aggregate import Max
-
-        texts_tbl = collect_table(texts_ds).combine_chunks()
-        tbl_ref = ray.put(texts_tbl)
-
-        def bucket_verify(df):
-            pairs = pairs_within_groups(df, "band_key", "doc", max_block)
-            if len(pairs):
-                pairs = pairs.drop_duplicates(ignore_index=True)
-            tbl = ray.get(tbl_ref)  # zero-copy from the object store
-
-            def texts_for(col):
-                idx = pc.index_in(
-                    pa.array(col.to_numpy(), pa.int64()),
-                    value_set=tbl["doc"],
-                )
-                return tbl["text"].take(idx).to_pylist()
-
-            ku, kv, js = _verify_rows(
-                pairs["u"].tolist(), pairs["v"].tolist(),
-                texts_for(pairs["u"]), texts_for(pairs["v"]),
-            )
-            return pd.DataFrame(
-                {
-                    "u": pd.array(ku, dtype="int64"),
-                    "v": pd.array(kv, dtype="int64"),
-                    "jac": pd.array(js, dtype="float64"),
-                }
-            )
-
-        # coalesce=False: banded inherits the read's coarse block layout
-        # (~1-2 blocks/CPU), and the pre-sort repartition barrier costs
-        # more than the slightly wider sort it saves (interleaved A/B at
-        # sf0.1: repartition ~3.4s for 3.8 MB moved)
-        verified = grouped_map(banded, "band_key", bucket_verify,
-                               coalesce=False)
-        return verified.groupby(["u", "v"]).aggregate(
-            Max(on="jac", alias_name="jac")
-        )
-
-    # scale path (> MAX_BROADCAST_BYTES): candidate pairs are deduped
-    # within each bucket before the global (u, v) groupby so the second
-    # all-to-all moves pre-deduped rows; texts attach via bucket joins.
-    from kgray.ops.joins import bucket_join
-
-    cand = (
-        grouped_map(
-            banded, "band_key",
-            lambda df: pairs_within_groups(
-                df, "band_key", "doc", max_block
-            ).drop_duplicates(ignore_index=True),
-            coalesce=False,
-        )
-        .groupby(["u", "v"])
-        .aggregate(Count(alias_name="nbands"))
-        .materialize()
-    )
-    if cand.schema() is None:
-        # no candidate pair: the groupby over no rows has no schema to
-        # join on; return the driver path's typed empty result
-        return rd.from_arrow(pa.table({"u": pa.array([], pa.int64()),
-                                       "v": pa.array([], pa.int64()),
-                                       "jac": pa.array([], pa.float64())}))
-    j1 = bucket_join(cand, texts_ds, on="u", right_on="doc", how="left",
-                     right_suffix="_u")
-    j2 = bucket_join(j1, texts_ds, on="v", right_on="doc", how="left",
-                     right_suffix="_v")
-
-    def verify(batch: pa.Table) -> pa.Table:
-        cols = batch.column_names
-        tcols = [c for c in cols if c.startswith("text")]
-        ku, kv, js = _verify_rows(
-            batch["u"].to_pylist(), batch["v"].to_pylist(),
-            batch[tcols[0]].to_pylist(), batch[tcols[1]].to_pylist(),
-        )
-        return pa.table(
-            {
-                "u": pa.array(ku, pa.int64()),
-                "v": pa.array(kv, pa.int64()),
-                "jac": pa.array(js, pa.float64()),
-            }
-        )
-
-    return j2.map_batches(verify, batch_format="pyarrow")
+# fixed random-odd multipliers for the k universal hash functions
+def _hash_params(k: int, seed: int = 1234) -> np.ndarray:
+    rs = np.random.RandomState(seed)
+    a = rs.randint(1, 2**31 - 1, size=k, dtype=np.int64) * 2 + 1
+    b = rs.randint(0, 2**31 - 1, size=k, dtype=np.int64)
+    return np.stack([a, b])
 
 
 def band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
@@ -595,16 +399,6 @@ def band_keys(sigs: np.ndarray, bands: int) -> np.ndarray:
     return h.reshape(-1).view(np.int64)
 
 
-def _doc_signature(text: str, params: np.ndarray) -> np.ndarray:
-    sh = word_shingles(text)
-    if not sh:
-        return np.zeros(params.shape[1], np.uint64)
-    hv = np.fromiter((zlib.crc32(x.encode()) for x in sh), np.int64, len(sh))
-    a, b = params
-    m = (hv[None, :] * a[:, None] + b[:, None]) % ((1 << 61) - 1)
-    return m.min(axis=1).astype(np.uint64)
-
-
 _SIG_BUFFERS: dict = {}
 
 
@@ -619,7 +413,7 @@ def batch_signatures(shingle_sets: list, params: np.ndarray,
     allocation per call, and first-touch page faults on this class of VM
     run at ~5 MB/s (measured: 26s fresh vs 0.03s warm for the same
     multiply) — chunked+reused buffers keep every op on warm pages.
-    Empty docs get an all-zero signature (matches _doc_signature)."""
+    Items with no shingles get an all-zero signature."""
     k = params.shape[1]
     n = len(shingle_sets)
     lens = np.fromiter((len(s) for s in shingle_sets), np.int64, n)
@@ -667,64 +461,224 @@ def batch_signatures(shingle_sets: list, params: np.ndarray,
     return out
 
 
+def _band_rows(ids, shingle_sets: list, params: np.ndarray, bands: int,
+               id_col: str) -> pa.Table:
+    """(band_key, ``id_col``) rows, ``bands`` per item: each item's
+    MinHash signature folded into LSH band keys, beside its id (an Arrow
+    array, repeated in place).  The one band-row emitter of document
+    near-dup and of both entity-linking paths."""
+    sigs = batch_signatures(shingle_sets, params)
+    return pa.table(
+        {
+            "band_key": pa.array(band_keys(sigs, bands)),
+            id_col: ids.take(np.repeat(np.arange(len(ids)), bands)),
+        }
+    )
+
+
+def _candidate_pairs(band_rows: pd.DataFrame, id_col: str, max_block: int,
+                     dtype: str = "int64") -> pd.DataFrame:
+    """Distinct (u < v) id pairs that share a band bucket of (band_key,
+    ``id_col``) rows; buckets over ``max_block`` ids are skipped."""
+    pairs = util.pairs_within_groups(band_rows, "band_key", id_col,
+                                     max_block, dtype=dtype)
+    return pairs.drop_duplicates(ignore_index=True) if len(pairs) else pairs
+
+
+def _verify_jaccard(us, vs, ta, tb, shingle_set, tau: float):
+    """Exact set Jaccard of candidate pairs (u, v) whose endpoints carry
+    the values ``ta``/``tb``: ``shingle_set(value)`` is memoized per
+    distinct value (pairs repeat endpoints heavily), and an endpoint
+    with no shingles matches nothing.  Returns the (u, v, jaccard) lists
+    of the pairs at or above ``tau``.  The one verify kernel of document
+    near-dup (word 3-grams of the text) and entity linking (char 2-grams
+    of the mention name)."""
+    cache: dict = {}
+
+    def sh(t):
+        s = cache.get(t)
+        if s is None:
+            s = cache[t] = shingle_set(t)
+        return s
+
+    ku, kv, js = [], [], []
+    for u, v, a, b in zip(us, vs, ta, tb):
+        sa, sb = sh(a), sh(b)
+        if not sa or not sb:
+            continue
+        j = len(sa & sb) / len(sa | sb)
+        if j >= tau:
+            ku.append(u)
+            kv.append(v)
+            js.append(j)
+    return ku, kv, js
+
+
+def _verify_docs(us, vs, ta, tb, tau: float) -> pa.Table:
+    """Candidate doc pairs (u, v) with texts ``ta``/``tb`` -> verified
+    (u, v, jac) rows: word-3-gram Jaccard >= tau, rounded to 4 digits."""
+    ku, kv, js = _verify_jaccard(us, vs, ta, tb,
+                                 lambda t: set(word_shingles(t or "")), tau)
+    return pa.table(
+        {
+            "u": pa.array(ku, pa.int64()),
+            "v": pa.array(kv, pa.int64()),
+            "jac": pa.array(round_half_up(np.asarray(js, np.float64), 4),
+                            pa.float64()),
+        }
+    )
+
+
+def _minhash_verify(band_rows: pd.DataFrame, texts: pa.Table, tau: float,
+                    max_block: int) -> pa.Table:
+    """(band_key, doc) rows -> verified (u, v, jac) pairs, each endpoint's
+    text looked up in the (doc, text) table: the bucket kernel of
+    minhash_dup_pairs' in-process call and of its broadcast cogroup."""
+    pairs = _candidate_pairs(band_rows, "doc", max_block)
+    if not len(pairs):
+        return _verify_docs([], [], [], [], tau)
+
+    def texts_for(col):
+        idx = pc.index_in(pa.array(col.to_numpy(), pa.int64()),
+                          value_set=texts["doc"])
+        return texts["text"].take(idx).to_pylist()
+
+    return _verify_docs(pairs["u"].tolist(), pairs["v"].tolist(),
+                        texts_for(pairs["u"]), texts_for(pairs["v"]), tau)
+
+
+def minhash_dup_pairs(docs, tau: float = 0.7, text_col: str = "text",
+                      id_col: str = "doc_id", num_hashes: int = 64,
+                      bands: int = 32):
+    """Near-dup pairs by MinHash-LSH over word-3-gram shingles.
+
+    The execution plan follows the Dataset's estimated size: at or under
+    ``MAX_DRIVER_BYTES`` (32 MiB) the whole job runs as one in-process
+    call (the small-side gate — shuffle barriers dominate tiny inputs);
+    at or under ``MAX_BROADCAST_BYTES`` (2 GiB) the doc->text map is
+    collected once and broadcast via the object store; above it (or when
+    no size estimate exists, or under KGRAY_FORCE_DISTRIBUTED) the
+    partitioned ``bucket_join`` path runs — never an unbounded
+    driver-side collect."""
+    import ray
+    import ray.data as rd
+    from ray.data.aggregate import Count, Max
+
+    # tasks, not an actor pool: the state is 64 hash params, trivial to
+    # ship in the closure, and tasks scale to every core with no pool ramp
+    params = _hash_params(num_hashes)
+
+    def doc_bands(batch: pa.Table) -> pa.Table:
+        return _band_rows(
+            pc.cast(batch[id_col], pa.int64()),
+            [word_shingles(t) for t in batch[text_col].to_pylist()],
+            params, bands, "doc",
+        )
+
+    banded = docs.map_batches(doc_bands, batch_format="pyarrow")
+
+    max_block = 128
+    texts_ds = docs.map_batches(
+        lambda b: pa.table({"doc": b[id_col].cast(pa.int64()),
+                            "text": b[text_col]}),
+        batch_format="pyarrow",
+    )
+
+    in_process = fits_small(docs, max_bytes=MAX_DRIVER_BYTES)
+    if in_process or fits_small(docs, max_bytes=MAX_BROADCAST_BYTES):
+        texts = collect_table(texts_ds).combine_chunks()
+        if in_process:
+            # Small-side gate: signatures/banding stay DISTRIBUTED (they
+            # fuse with the read); only the tiny band rows (n_docs x
+            # bands x 16B) and the gated texts are collected, and the
+            # pair-gen + verify shuffles become one bucket-kernel call.
+            bt = collect_table(banded)
+            if not bt.num_rows:
+                bt = empty_table(band_key=pa.int64(), doc=pa.int64())
+            return rd.from_arrow(
+                _minhash_verify(bt.to_pandas(), texts, tau, max_block))
+        # Fused path: the same bucket kernel inside the ONE band-bucket
+        # cogroup (texts reach workers as a zero-copy Arrow broadcast);
+        # cross-bucket duplicate candidates are verified redundantly
+        # (deterministic, tiny) and collapse in a final Max-aggregate
+        # over the verified pairs — 2 shuffles total instead of cogroup
+        # + candidate groupby + 2 join stages.
+        ref = ray.put(texts)
+        # coalesce=False: banded inherits the read's coarse block layout
+        # (~1-2 blocks/CPU), and the pre-sort repartition barrier costs
+        # more than the slightly wider sort it saves (interleaved A/B at
+        # sf0.1: repartition ~3.4s for 3.8 MB moved)
+        verified = grouped_map(
+            banded, "band_key",
+            lambda df: _minhash_verify(df, ray.get(ref), tau, max_block),
+            coalesce=False,
+        )
+        return _typed(
+            verified.groupby(["u", "v"]).aggregate(
+                Max(on="jac", alias_name="jac")),
+            u=pa.int64(), v=pa.int64(), jac=pa.float64(),
+        )
+
+    # scale path (> MAX_BROADCAST_BYTES): candidate pairs are deduped
+    # within each bucket before the global (u, v) groupby so the second
+    # all-to-all moves pre-deduped rows; texts attach via bucket joins.
+    from kgray.ops.joins import bucket_join
+
+    cand = (
+        grouped_map(banded, "band_key",
+                    lambda df: _candidate_pairs(df, "doc", max_block),
+                    coalesce=False)
+        .groupby(["u", "v"])
+        .aggregate(Count(alias_name="nbands"))
+        .materialize()
+    )
+    if cand.schema() is None:
+        # no candidate pair: the groupby over no rows has no schema to
+        # join on; return the driver path's typed empty result
+        return rd.from_arrow(_verify_docs([], [], [], [], tau))
+    j1 = bucket_join(cand, texts_ds, on="u", right_on="doc", how="left",
+                     right_suffix="_u")
+    j2 = bucket_join(j1, texts_ds, on="v", right_on="doc", how="left",
+                     right_suffix="_v")
+
+    def verify(batch: pa.Table) -> pa.Table:
+        tcols = [c for c in batch.column_names if c.startswith("text")]
+        return _verify_docs(
+            batch["u"].to_pylist(), batch["v"].to_pylist(),
+            batch[tcols[0]].to_pylist(), batch[tcols[1]].to_pylist(), tau,
+        )
+
+    return j2.map_batches(verify, batch_format="pyarrow")
+
+
 # ---------------------------------------------------------------------------
 # SimHash near-dup
 # ---------------------------------------------------------------------------
 
-def _simhash_blocks(ids: np.ndarray, texts: list):
-    """(block, doc, sig) arrays: 4 pigeonhole chunks per doc (hamming <= 3
-    implies one identical 16-bit chunk); block id packs (chunk_idx, chunk
-    value) into one int64.  Shared by the distributed sig stage and the
-    driver path."""
-    from kgray.ops.text import simhash64_batch
-
-    hs = simhash64_batch([t.split(" ") for t in texts])  # (n,) uint64
-    cidx = np.arange(4, dtype=np.uint64)
-    chunks = (hs[:, None] >> (np.uint64(16) * cidx[None, :])) & np.uint64(0xFFFF)
-    block = (chunks | (cidx[None, :] << np.uint64(48))).reshape(-1)
-    return (block.view(np.int64), np.repeat(ids, 4),
-            np.repeat(hs.view(np.int64), 4))
-
-
 def _simhash_bucket_pairs(df: pd.DataFrame, max_hamming: int,
                           max_block: int) -> pd.DataFrame:
-    """In-block pair-gen + vectorized-popcount hamming verify — the shared
-    kernel of both simhash execution paths."""
-    sub = df[["block", "doc", "sig"]].drop_duplicates()
-    sizes = sub.groupby("block", sort=False)["doc"].transform("size")
-    sub = sub[(sizes >= 2) & (sizes <= max_block)]
-    us, vs, hs = [], [], []
-    for _, g in sub.groupby("block", sort=False):
-        order = np.argsort(g["doc"].to_numpy())
-        d = g["doc"].to_numpy()[order]
-        s = g["sig"].to_numpy()[order].astype(np.uint64)
-        n = len(d)
-        iu = np.repeat(np.arange(n), n - np.arange(n) - 1)
-        jv = np.concatenate([np.arange(i + 1, n) for i in range(n)])
-        x = s[iu] ^ s[jv]
-        # vectorized popcount via byte view
-        ham = (
-            np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1)
-            .sum(axis=1)
-            .astype(np.int64)
-        )
-        keep = ham <= max_hamming
-        us.append(d[iu][keep])
-        vs.append(d[jv][keep])
-        hs.append(ham[keep])
-    if us:
-        return pd.DataFrame(
-            {
-                "u": pd.array(np.concatenate(us), dtype="int64"),
-                "v": pd.array(np.concatenate(vs), dtype="int64"),
-                "hamming": pd.array(np.concatenate(hs), dtype="int64"),
-            }
-        )
+    """In-block pair-gen (``util.pairs_within_groups`` over (block, doc))
+    + each pair's signatures looked up for a vectorized-popcount hamming
+    verify — the shared kernel of both simhash execution paths."""
+    pairs = util.pairs_within_groups(df, "block", "doc", max_block)
+    sig = df.drop_duplicates("doc").set_index("doc")["sig"]
+
+    def sigs(col):
+        return sig.reindex(col.to_numpy()).to_numpy().astype(np.uint64)
+
+    x = sigs(pairs["u"]) ^ sigs(pairs["v"])
+    # vectorized popcount via byte view
+    ham = (
+        np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1)
+        .sum(axis=1)
+        .astype(np.int64)
+    )
+    keep = ham <= max_hamming
     return pd.DataFrame(
         {
-            "u": pd.array([], dtype="int64"),
-            "v": pd.array([], dtype="int64"),
-            "hamming": pd.array([], dtype="int64"),
+            "u": pairs["u"].to_numpy()[keep],
+            "v": pairs["v"].to_numpy()[keep],
+            "hamming": ham[keep],
         }
     )
 
@@ -739,17 +693,26 @@ def simhash_dup_pairs(docs, max_hamming: int = 3, text_col: str = "text",
     in-process call through the same kernels (small-side gate: the two
     shuffle barriers dominate tiny inputs); KGRAY_FORCE_DISTRIBUTED
     forces the distributed path."""
+    from kgray.ops.text import simhash64_batch
+
     max_block = 256
 
     def sig_rows(batch: pa.Table) -> pa.Table:
+        """(block, doc, sig) rows: 4 pigeonhole chunks per doc (hamming
+        <= 3 implies one identical 16-bit chunk); the block id packs
+        (chunk_idx, chunk value) into one int64."""
         ids = np.asarray(batch[id_col].to_pylist(), np.int64)
-        texts = batch[text_col].to_pylist()
-        block, doc, sig = _simhash_blocks(ids, texts)
+        hs = simhash64_batch(
+            [t.split(" ") for t in batch[text_col].to_pylist()])  # uint64
+        cidx = np.arange(4, dtype=np.uint64)
+        chunks = (hs[:, None] >> (np.uint64(16) * cidx[None, :])) \
+            & np.uint64(0xFFFF)
+        block = (chunks | (cidx[None, :] << np.uint64(48))).reshape(-1)
         return pa.table(
             {
-                "block": pa.array(block),
-                "doc": pa.array(doc),
-                "sig": pa.array(sig),
+                "block": pa.array(block.view(np.int64)),
+                "doc": pa.array(np.repeat(ids, 4)),
+                "sig": pa.array(np.repeat(hs.view(np.int64), 4)),
             }
         )
 
@@ -762,44 +725,48 @@ def simhash_dup_pairs(docs, max_hamming: int = 3, text_col: str = "text",
         import ray.data as rd
 
         bt = collect_table(blocked)
-        df = (
-            bt.to_pandas()
-            if bt.num_rows
-            else pd.DataFrame({"block": [], "doc": [], "sig": []})
-        )
-        pairs = _simhash_bucket_pairs(df, max_hamming, max_block)
-        if len(pairs):
-            pairs = (
-                pairs.groupby(["u", "v"], sort=False)["hamming"]
-                .min().reset_index()
-            )
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "u": pa.array(pairs["u"].tolist(), pa.int64()),
-                    "v": pa.array(pairs["v"].tolist(), pa.int64()),
-                    "hamming": pa.array(pairs["hamming"].tolist(), pa.int64()),
-                }
-            )
-        )
+        if not bt.num_rows:
+            bt = empty_table(block=pa.int64(), doc=pa.int64(), sig=pa.int64())
+        # a pair sharing several chunks repeats with the same distance
+        pairs = _simhash_bucket_pairs(bt.to_pandas(), max_hamming, max_block)
+        return rd.from_arrow(pa.Table.from_pandas(
+            pairs.drop_duplicates(["u", "v"], ignore_index=True),
+            preserve_index=False,
+        ).replace_schema_metadata(None))
 
     from ray.data.aggregate import Min
 
-    from kgray.util import grouped_map
-
-    return (
+    return _typed(
         grouped_map(
             blocked, "block",
             lambda df: _simhash_bucket_pairs(df, max_hamming, max_block),
         )
         .groupby(["u", "v"])
-        .aggregate(Min("hamming", alias_name="hamming"))
+        .aggregate(Min("hamming", alias_name="hamming")),
+        u=pa.int64(), v=pa.int64(), hamming=pa.int64(),
     )
 
 
 # ---------------------------------------------------------------------------
 # embedding-cosine near-dup
 # ---------------------------------------------------------------------------
+
+def _cos_pairs(us: list, vs: list, cs: list, digits: int) -> pa.Table:
+    """Matched vector pairs from per-block id/cosine arrays -> (u, v, cos)
+    rows oriented u < v, cos rounded to ``digits``; typed empty when no
+    block matched.  Shared by the brute, blocked and IVF plans."""
+    if not us:
+        return empty_table(u=pa.int64(), v=pa.int64(), cos=pa.float64())
+    u, v = np.concatenate(us), np.concatenate(vs)
+    swap = u > v
+    return pa.table(
+        {
+            "u": pa.array(np.where(swap, v, u), pa.int64()),
+            "v": pa.array(np.where(swap, u, v), pa.int64()),
+            "cos": pa.array(round_half_up(np.concatenate(cs), digits),
+                            pa.float64()),
+        }
+    )
 
 def _embedding_dup_pairs_blocked(embeddings, tau, id_col, vec_col, digits,
                                  num_blocks: int = 8):
@@ -813,7 +780,6 @@ def _embedding_dup_pairs_blocked(embeddings, tau, id_col, vec_col, digits,
     gate checks.  (IVF stays the sub-quadratic 100-TB route; its
     blocking is approximate by construction.)"""
     from kgray.ops.similarity import _matrix, _normalize
-    from kgray.util import grouped_map, round_half_up
 
     def fan_out(batch: pa.Table) -> pa.Table:
         m = _normalize(_matrix(batch, vec_col))
@@ -837,8 +803,8 @@ def _embedding_dup_pairs_blocked(embeddings, tau, id_col, vec_col, digits,
 
     fanned = embeddings.map_batches(fan_out, batch_format="pyarrow")
 
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
+    def bucket_pairs(df: pd.DataFrame) -> pa.Table:
+        us, vs, cs = [], [], []
         for bkey, grp in df.groupby("bucket", sort=False):
             i, j = divmod(int(bkey), num_blocks)
             ids_g = grp["vid"].to_numpy(np.int64)
@@ -857,26 +823,10 @@ def _embedding_dup_pairs_blocked(embeddings, tau, id_col, vec_col, digits,
                 uu, vv = np.nonzero(sims_ab >= tau)
                 ui, vi = ai[uu], bi[vv]
                 cos = sims_ab[uu, vv]
-            if not len(ui):
-                continue
-            u, v = ids_g[ui], ids_g[vi]
-            swap = u > v
-            outs.append(pd.DataFrame(
-                {
-                    "u": np.where(swap, v, u),
-                    "v": np.where(swap, u, v),
-                    "cos": round_half_up(cos, digits),
-                }
-            ))
-        if outs:
-            return pd.concat(outs, ignore_index=True)
-        return pd.DataFrame(
-            {
-                "u": pd.array([], dtype="int64"),
-                "v": pd.array([], dtype="int64"),
-                "cos": pd.array([], dtype="float64"),
-            }
-        )
+            us.append(ids_g[ui])
+            vs.append(ids_g[vi])
+            cs.append(cos)
+        return _cos_pairs(us, vs, cs, digits)
 
     return grouped_map(fanned, "bucket", bucket_pairs)
 
@@ -911,11 +861,12 @@ def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
       quadratic 100-TB route).
     """
     import ray
+    import ray.data as rd
+
+    from kgray.ops.similarity import _matrix, _normalize
 
     small = None
     if strategy == "auto":
-        from kgray.util import force_distributed
-
         small = collect_small(embeddings, max_rows=MAX_BRUTE_ROWS)
         if small is not None:
             strategy = "brute"
@@ -932,37 +883,22 @@ def embedding_dup_pairs(embeddings, tau: float = 0.95, id_col: str = "vec_id",
         )
 
     t = small if small is not None else collect_table(embeddings)
-    full = np.vstack(
-        [np.asarray(x, np.float64) for x in t[vec_col].to_pylist()]
-    )
-    full_ids = np.asarray(t[id_col].to_pylist(), np.int64)
-    norms = np.linalg.norm(full, axis=1, keepdims=True)
-    full_n = full / np.where(norms == 0, 1, norms)
-    ref_mat = ray.put((full_ids, full_n))
+    if not t.num_rows:
+        return rd.from_arrow(_cos_pairs([], [], [], digits))
+
+    def ids_of(tbl: pa.Table) -> np.ndarray:
+        return tbl[id_col].to_numpy().astype(np.int64)
+
+    ref_mat = ray.put((ids_of(t), _normalize(_matrix(t, vec_col))))
 
     def block(batch: pa.Table) -> pa.Table:
-        from kgray.util import round_half_up
-
         all_ids, mat = ray.get(ref_mat)
-        q = np.vstack([np.asarray(x, np.float64) for x in batch[vec_col].to_pylist()])
-        qn = q / np.where(
-            np.linalg.norm(q, axis=1, keepdims=True) == 0,
-            1,
-            np.linalg.norm(q, axis=1, keepdims=True),
-        )
-        qids = np.asarray(batch[id_col].to_pylist(), np.int64)
-        sims = qn @ mat.T
+        qids = ids_of(batch)
+        sims = _normalize(_matrix(batch, vec_col)) @ mat.T
         ui, vi = np.nonzero(sims >= tau)
-        u = qids[ui]
-        v = all_ids[vi]
-        keep = u < v  # each unordered pair once
-        return pa.table(
-            {
-                "u": pa.array(u[keep]),
-                "v": pa.array(v[keep]),
-                "cos": pa.array(round_half_up(sims[ui, vi][keep], digits)),
-            }
-        )
+        keep = qids[ui] < all_ids[vi]  # each unordered pair once
+        ui, vi = ui[keep], vi[keep]
+        return _cos_pairs([qids[ui]], [all_ids[vi]], [sims[ui, vi]], digits)
 
     return embeddings.map_batches(block, batch_format="pyarrow")
 
@@ -979,7 +915,6 @@ def _embedding_dup_pairs_ivf(embeddings, tau, id_col, vec_col, digits,
     from ray.data.aggregate import Max
 
     from kgray.ops.similarity import _matrix, _normalize, fit_centroids
-    from kgray.util import grouped_map, round_half_up
 
     n = embeddings.count()
     if num_centroids is None:
@@ -1018,7 +953,7 @@ def _embedding_dup_pairs_ivf(embeddings, tau, id_col, vec_col, digits,
     hard_cap = 16 * max_block
     tile = min(max_block, 2048)
 
-    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket_pairs(df: pd.DataFrame) -> pa.Table:
         import logging
 
         us, vs, cs = [], [], []
@@ -1043,33 +978,16 @@ def _embedding_dup_pairs_ivf(embeddings, tau, id_col, vec_col, digits,
                     if j0 == i0:
                         hits = np.triu(hits, k=1)
                     ui, vi = np.nonzero(hits)
-                    if not len(ui):
-                        continue
-                    u, v = ids[i0 + ui], ids[j0 + vi]
-                    swap = u > v
-                    us.append(np.where(swap, v, u))
-                    vs.append(np.where(swap, u, v))
-                    cs.append(round_half_up(sims[ui, vi], digits))
-        if us:
-            return pd.DataFrame(
-                {
-                    "u": pd.array(np.concatenate(us), dtype="int64"),
-                    "v": pd.array(np.concatenate(vs), dtype="int64"),
-                    "cos": pd.array(np.concatenate(cs), dtype="float64"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "u": pd.array([], dtype="int64"),
-                "v": pd.array([], dtype="int64"),
-                "cos": pd.array([], dtype="float64"),
-            }
-        )
+                    us.append(ids[i0 + ui])
+                    vs.append(ids[j0 + vi])
+                    cs.append(sims[ui, vi])
+        return _cos_pairs(us, vs, cs, digits)
 
-    return (
+    return _typed(
         grouped_map(blocked, "bucket", bucket_pairs)
         .groupby(["u", "v"])
-        .aggregate(Max("cos", alias_name="cos"))
+        .aggregate(Max("cos", alias_name="cos")),
+        u=pa.int64(), v=pa.int64(), cos=pa.float64(),
     )
 
 
@@ -1103,41 +1021,55 @@ def ngram_contamination(docs, is_test, n: int = 5,
     def test_shingles_partial(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         mask = np.asarray(is_test(ids), bool)
-        out: set[str] = set()
-        for t in np.asarray(batch[text_col].to_pylist(), object)[mask]:
-            out.update(word_shingles(t, n))
-        return pa.table({"g": pa.array(sorted(out), pa.string())})
+        texts = np.asarray(batch[text_col].to_pylist(), object)[mask]
+        _, grams = _explode_ngrams(texts, n, distinct=True)
+        return pa.table({"g": pa.array(sorted(set(grams)), pa.string())})
 
     # metadata-scale collect: distinct shingles of the held-out set only
-    parts = docs.map_batches(
-        test_shingles_partial, batch_format="pyarrow"
-    ).to_pandas()
-    test_set = pa.array(sorted(set(parts["g"])), pa.string())
+    parts = collect_table(
+        docs.map_batches(test_shingles_partial, batch_format="pyarrow"))
+    test_set = pa.array(
+        sorted(set(parts["g"].to_pylist())) if parts.num_rows else [],
+        pa.string(),
+    )
     test_ref = ray.put(test_set)
 
     def count_shared(batch: pa.Table) -> pa.Table:
-        tset = ray.get(test_ref)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         keep = ~np.asarray(is_test(ids), bool)
         ids = ids[keep]
-        texts = np.asarray(batch[text_col].to_pylist(), object)[keep]
+        idx, grams = _explode_ngrams(
+            np.asarray(batch[text_col].to_pylist(), object)[keep], n,
+            distinct=True,
+        )
+        hit = pc.is_in(pa.array(grams, pa.string()),
+                       value_set=ray.get(test_ref))
         counts = np.zeros(len(ids), np.int64)
-        if len(ids):
-            doc_idx, grams = [], []
-            for i, t in enumerate(texts):
-                gs = word_shingles(t, n)
-                grams.extend(gs)
-                doc_idx.extend([i] * len(gs))
-            if grams:
-                hit = pc.is_in(pa.array(grams, pa.string()), value_set=tset)
-                np.add.at(counts, np.asarray(doc_idx, np.int64),
-                          hit.to_numpy(zero_copy_only=False).astype(np.int64))
+        np.add.at(counts, idx,
+                  hit.to_numpy(zero_copy_only=False).astype(np.int64))
         return pa.table(
             {"doc_id": pa.array(ids, pa.int64()),
              "n_shared": pa.array(counts)}
         )
 
-    return docs.map_batches(count_shared, batch_format="pyarrow")
+    return _typed(docs.map_batches(count_shared, batch_format="pyarrow"),
+                  doc_id=pa.int64(), n_shared=pa.int64())
+
+
+def _dup_stats_table(ids, n_dup: np.ndarray, n_tot: np.ndarray,
+                     digits: int) -> pa.Table:
+    """dup_ngram_stats' output rows: (doc_id, n_dup, n_total, dup_frac)."""
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "n_dup": pa.array(n_dup, pa.int64()),
+            "n_total": pa.array(n_tot, pa.int64()),
+            "dup_frac": pa.array(
+                round_half_up(n_dup / n_tot.astype(np.float64), digits),
+                pa.float64(),
+            ),
+        }
+    )
 
 
 def _dup_ngram_stats_distributed(docs, dup_ds, n, text_col, id_col, digits):
@@ -1149,30 +1081,13 @@ def _dup_ngram_stats_distributed(docs, dup_ds, n, text_col, id_col, digits):
     (n_dup = 0).  Same output contract as the broadcast path."""
     from kgray.ops.agg import pre_aggregate
     from kgray.ops.joins import bucket_join, semi_join
-    from kgray.util import round_half_up
 
     def occ_rows(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        texts = batch[text_col].to_pylist()
-        did, grams = [], []
-        for i, t in enumerate(texts):
-            toks = t.split(" ")
-            if len(toks) < n:
-                continue
-            gs = [" ".join(toks[j:j + n]) for j in range(len(toks) - n + 1)]
-            grams.extend(gs)
-            did.extend([int(ids[i])] * len(gs))
-        if not grams:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "g": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        ser = pd.Series(grams, dtype=object)
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        idx, grams = _explode_ngrams(batch[text_col].to_pylist(), n)
         cnt = (
-            pd.DataFrame({"doc_id": np.asarray(did, np.int64), "g": ser})
+            pd.DataFrame({"doc_id": ids[idx],
+                          "g": pd.Series(grams, dtype=object)})
             .groupby(["doc_id", "g"], sort=False)
             .size()
             .reset_index(name="c")
@@ -1197,17 +1112,8 @@ def _dup_ngram_stats_distributed(docs, dup_ds, n, text_col, id_col, digits):
         n_dup = np.nan_to_num(
             batch["n_dup"].to_numpy(zero_copy_only=False).astype(np.float64)
         ).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"].cast(pa.int64()),
-                "n_dup": pa.array(n_dup, pa.int64()),
-                "n_total": pa.array(n_tot, pa.int64()),
-                "dup_frac": pa.array(
-                    round_half_up(n_dup / n_tot.astype(np.float64), digits),
-                    pa.float64(),
-                ),
-            }
-        )
+        return _dup_stats_table(batch["doc_id"].cast(pa.int64()), n_dup,
+                                n_tot, digits)
 
     return joined.map_batches(finalize, batch_format="pyarrow")
 
@@ -1232,13 +1138,10 @@ def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
     import ray
     from ray.data.aggregate import Sum
 
-    from kgray.util import round_half_up
-
     def df_partial(batch: pa.Table) -> pa.Table:
-        texts = batch[text_col].to_pylist()
-        rows: list[str] = []
-        for t in texts:
-            rows.extend(word_shingles(t, n))  # distinct within doc
+        # distinct within doc
+        _, rows = _explode_ngrams(batch[text_col].to_pylist(), n,
+                                  distinct=True)
         ser = pd.Series(rows, dtype=object).value_counts() if rows else \
             pd.Series([], dtype=np.int64)
         return pa.table(
@@ -1259,32 +1162,15 @@ def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
         return _dup_ngram_stats_distributed(
             docs, dup_ds, n, text_col, id_col, digits
         )
-    dup = dup_tbl.to_pandas()
-    dup_set = pa.array(dup["g"].astype(str), pa.string())
+    dup_set = pa.array(dup_tbl["g"].to_pylist() if dup_tbl.num_rows else [],
+                       pa.string())
     dup_ref = ray.put(dup_set)
 
     def count_dups(batch: pa.Table) -> pa.Table:
         dset = ray.get(dup_ref)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         texts = batch[text_col].to_pylist()
-        doc_idx, grams = [], []
-        for i, t in enumerate(texts):
-            toks = t.split(" ")
-            if len(toks) < n:
-                continue
-            gs = [" ".join(toks[j:j + n]) for j in range(len(toks) - n + 1)]
-            grams.extend(gs)
-            doc_idx.extend([i] * len(gs))
-        if not grams:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_dup": pa.array([], pa.int64()),
-                    "n_total": pa.array([], pa.int64()),
-                    "dup_frac": pa.array([], pa.float64()),
-                }
-            )
-        idx = np.asarray(doc_idx, np.int64)
+        idx, grams = _explode_ngrams(texts, n)
         hit = pc.is_in(pa.array(grams, pa.string()), value_set=dset)
         hit = hit.to_numpy(zero_copy_only=False).astype(np.int64)
         present = np.unique(idx)
@@ -1292,22 +1178,12 @@ def dup_ngram_stats(docs, n: int = 5, text_col: str = "text",
         n_tot = np.zeros(len(texts), np.int64)
         np.add.at(n_dup, idx, hit)
         np.add.at(n_tot, idx, 1)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[present], pa.int64()),
-                "n_dup": pa.array(n_dup[present], pa.int64()),
-                "n_total": pa.array(n_tot[present], pa.int64()),
-                "dup_frac": pa.array(
-                    round_half_up(
-                        n_dup[present] / n_tot[present].astype(np.float64),
-                        digits,
-                    ),
-                    pa.float64(),
-                ),
-            }
-        )
+        return _dup_stats_table(ids[present], n_dup[present], n_tot[present],
+                                digits)
 
-    return docs.map_batches(count_dups, batch_format="pyarrow")
+    return _typed(docs.map_batches(count_dups, batch_format="pyarrow"),
+                  doc_id=pa.int64(), n_dup=pa.int64(), n_total=pa.int64(),
+                  dup_frac=pa.float64())
 
 
 # --- substring-level duplicate spans ----------------------------------------
@@ -1352,7 +1228,6 @@ def dup_span_stats(docs, window: int = 40, text_col: str = "text",
     bit-comparable to a DuckDB substr oracle; a test pins both paths to
     identical stats on corpora where collisions are absent."""
     from kgray.ops.agg import pre_aggregate
-    from kgray.util import grouped_map, round_half_up
 
     def emit(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -1370,9 +1245,8 @@ def dup_span_stats(docs, window: int = 40, text_col: str = "text",
             out_ids.append(np.full(len(ws), i, np.int64))
             out_w.append(ws)
         if not out_ids:
-            typ = pa.uint64() if use_hash else pa.string()
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "w": pa.array([], typ)})
+            return empty_table(doc_id=pa.int64(),
+                               w=pa.uint64() if use_hash else pa.string())
         ids_arr = pa.array(np.concatenate(out_ids), pa.int64())
         if use_hash:
             w_arr = pa.array(np.concatenate(out_w), pa.uint64())
@@ -1418,7 +1292,9 @@ def dup_span_stats(docs, window: int = 40, text_col: str = "text",
             }
         )
 
-    return folded.map_batches(finalize, batch_format="pyarrow")
+    return _typed(folded.map_batches(finalize, batch_format="pyarrow"),
+                  doc_id=pa.int64(), n_windows=pa.int64(), n_dup=pa.int64(),
+                  dup_frac=pa.float64())
 
 
 def dup_span_purge(docs, window: int = 40, text_col: str = "text",
@@ -1441,8 +1317,6 @@ def dup_span_purge(docs, window: int = 40, text_col: str = "text",
     per doc.  At 100 TB the window column would ship as a uint64
     rolling hash exactly like ``dup_span_stats(use_hash=True)``; the
     string form here is what the substr SQL oracle can check."""
-    from kgray.util import grouped_map
-
     def emit(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         texts = batch[text_col].to_pylist()
@@ -1456,9 +1330,7 @@ def dup_span_purge(docs, window: int = 40, text_col: str = "text",
             out_i.append(np.arange(n, dtype=np.int64))
             out_w.extend(t[j:j + window] for j in range(n))
         if not out_ids:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "i": pa.array([], pa.int64()),
-                             "w": pa.array([], pa.string())})
+            return empty_table(doc_id=pa.int64(), i=pa.int64(), w=pa.string())
         return pa.table(
             {
                 "doc_id": pa.array(np.concatenate(out_ids), pa.int64()),
@@ -1527,7 +1399,8 @@ def dup_span_purge(docs, window: int = 40, text_col: str = "text",
             }
         )
 
-    return grouped_map(both, "doc_id", cut)
+    return _typed(grouped_map(both, "doc_id", cut), doc_id=pa.int64(),
+                  clean_text=pa.string(), n_removed=pa.int64())
 
 
 def minhash_cross_pairs(left, right, tau: float = 0.7,
@@ -1565,12 +1438,15 @@ def minhash_cross_pairs(left, right, tau: float = 0.7,
     pairs = minhash_dup_pairs(union, tau=tau, text_col=text_col,
                               id_col=id_col, **kw)
     cross = pairs.filter(expr=f"u < {offset} and v >= {offset}")
-    return cross.map_batches(
-        lambda b: pa.table(
-            {"u": b["u"], "v": pc.subtract(b["v"], offset),
-             "jac": b["jac"]}
+    return _typed(
+        cross.map_batches(
+            lambda b: pa.table(
+                {"u": b["u"], "v": pc.subtract(b["v"], offset),
+                 "jac": b["jac"]}
+            ),
+            batch_format="pyarrow",
         ),
-        batch_format="pyarrow",
+        u=pa.int64(), v=pa.int64(), jac=pa.float64(),
     )
 
 
@@ -1600,8 +1476,6 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
     import ray
     from ray.data.aggregate import Sum
 
-    from kgray.util import grouped_map, round_half_up
-
     def tok_partial(batch: pa.Table) -> pa.Table:
         g = (
             batch.select(["shingle"])
@@ -1623,8 +1497,6 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
         # (counts/n_items derived here; exploded may carry duplicate
         # (doc, shingle) rows, so distinct-count per doc inside a
         # doc-keyed cogroup — every doc lives whole in one bucket)
-        from kgray.util import grouped_map as _gm
-
         exploded = exploded.materialize()
 
         def doc_counts(df: pd.DataFrame) -> pd.DataFrame:
@@ -1634,10 +1506,13 @@ def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
                 "nsh": g.to_numpy().astype(np.int64),
             })
 
-        counts = _gm(exploded, "doc", doc_counts).materialize()
+        counts = grouped_map(exploded, "doc", doc_counts).materialize()
         return set_jaccard_pairs(
             exploded, counts, n_items=counts.count(), tau=tau,
             digits=digits, num_buckets=num_buckets)
+    if not freq_tbl.num_rows:  # no tokens, so no pairs
+        return ray.data.from_arrow(
+            empty_table(u=pa.int64(), v=pa.int64(), jac=pa.float64()))
     freq = freq_tbl.to_pandas()  # token-vocab scale, never corpus scale
     # rare-first total order; ties broken on the token value
     freq = freq.sort_values(["n", "shingle"], kind="mergesort")

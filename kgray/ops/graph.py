@@ -40,12 +40,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import collect_small
-
-
-def _empty(**cols) -> pa.Table:
-    """The 0-row result table with the given column types."""
-    return pa.table({c: pa.array([], t) for c, t in cols.items()})
+from kgray.util import collect_small, empty_table
 
 
 def _symmetric(edges, u_col: str = "u", v_col: str = "v",
@@ -86,7 +81,7 @@ def _small_graph(edges, u_col: str = "u", v_col: str = "v",
     if tbl is None:
         return None
     if not tbl.num_rows:
-        tbl = _empty(**{u_col: pa.int64(), v_col: pa.int64()})
+        tbl = empty_table(**{u_col: pa.int64(), v_col: pa.int64()})
     df = tbl.to_pandas()
     if dedup:
         df = df.drop_duplicates([u_col, v_col])
@@ -109,7 +104,7 @@ def node_degrees(edges, u_col: str = "u", v_col: str = "v"):
     if edges.count() == 0:
         # a map over no rows emits no block, and the groupby below would
         # return a Dataset without a schema
-        return rd.from_arrow(_empty(node=pa.int64(), degree=pa.int64()))
+        return rd.from_arrow(empty_table(node=pa.int64(), degree=pa.int64()))
 
     def partial(batch: pa.Table) -> pa.Table:
         vc = pa.table({"node": batch["src"]}).group_by("node").aggregate(
@@ -215,7 +210,7 @@ def pagerank(edges, iters: int = 10, damping: float = 0.85,
         # paths-agree pinned in tests/test_graph.py)
         _, nodes, src, dst = small
         if not len(nodes):
-            return _empty(node=pa.int64(), rank=pa.float64())
+            return empty_table(node=pa.int64(), rank=pa.float64())
         rank = _pagerank_kernel(src, dst, nodes, iters, damping)
         return pa.table(
             {"node": pa.array(nodes),
@@ -293,7 +288,7 @@ def _int_rank(edges, seeds, iters: int, scale: int, u_col: str,
             batch_format="pyarrow",
         ).sum("m") or 0)
     if not n:
-        return _empty(node=pa.int64(), r=pa.int64())
+        return empty_table(node=pa.int64(), r=pa.int64())
     if q == 0:
         return None
     if small is not None:
@@ -427,7 +422,7 @@ def bfs_hops(edges, seeds, max_hops: int = 4,
     sym = _symmetric(edges, u_col, v_col).materialize()
     settled = _present_seeds(sym, seeds)
     if settled.count() == 0:
-        return _empty(node=pa.int64(), dist=pa.int64())
+        return empty_table(node=pa.int64(), dist=pa.int64())
     frontier = settled
     for h in range(1, max_hops + 1):
         if frontier.count() == 0:
@@ -495,7 +490,7 @@ def landmark_distances(edges, landmarks, max_hops: int = 3,
             out_l.append(np.full(keep.sum(), lm, np.int64))
             out_d.append(dist[keep])
         if not out_n:
-            return _empty(node=pa.int64(), lm=pa.int64(), dist=pa.int64())
+            return empty_table(node=pa.int64(), lm=pa.int64(), dist=pa.int64())
         return pa.table({
             "node": pa.array(np.concatenate(out_n).astype(np.int64)),
             "lm": pa.array(np.concatenate(out_l)),
@@ -594,7 +589,7 @@ def greedy_matching(edges, rounds: int = 3,
     ).materialize()
 
     if e.count() == 0:  # e.g. only self-loops: schema-less empty
-        return _empty(u=pa.int64(), v=pa.int64(), round=pa.int64())
+        return empty_table(u=pa.int64(), v=pa.int64(), round=pa.int64())
 
     small = collect_small(e, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
@@ -648,7 +643,10 @@ def greedy_matching(edges, rounds: int = 3,
             batch_format="pyarrow")
         nmin = pre_aggregate(sym, ["node"], {"me": ("eid", "min")})
         ju = bucket_join(cur, nmin, on="u", right_on="node", how="inner")
-        ju = ju.filter(expr="eid == me").select_columns(["u", "v", "eid"])
+        # project per batch: after the filter, select_columns' Dataset
+        # schema still lists ``me``, and the next bucket_join trusts it
+        ju = ju.filter(expr="eid == me").map_batches(
+            lambda b: b.select(["u", "v", "eid"]), batch_format="pyarrow")
         jv = bucket_join(ju, nmin, on="v", right_on="node", how="inner")
         mt = jv.filter(expr="eid == me") \
             .select_columns(["u", "v"]).materialize()
@@ -668,7 +666,7 @@ def greedy_matching(edges, rounds: int = 3,
         cur = semi_join(cur, dead, on="v", right_on="node",
                         anti=True).materialize()
     if matched is None:
-        return _empty(u=pa.int64(), v=pa.int64(), round=pa.int64())
+        return empty_table(u=pa.int64(), v=pa.int64(), round=pa.int64())
     return matched
 
 
@@ -732,7 +730,7 @@ def kcore(edges, k: int, rounds: int = 3,
     if prev_count == 0:
         # every edge peeled: a rename over no rows passes the empty
         # degree block through unrenamed
-        return _empty(node=pa.int64(), deg=pa.int64())
+        return empty_table(node=pa.int64(), deg=pa.int64())
     return node_degrees(cur, u_col, v_col).rename_columns({"degree": "deg"})
 
 
@@ -779,7 +777,7 @@ def hits_int(edges, iters: int = 2, scale: int = 10**6,
 
     edges = edges.materialize()
     if edges.count() == 0:
-        return _empty(node=pa.int64(), score=pa.int64(), side=pa.string())
+        return empty_table(node=pa.int64(), score=pa.int64(), side=pa.string())
     small = collect_small(edges, max_rows=MAX_INPROCESS_EDGES)
     if small is not None:
         df = small.to_pandas()
@@ -1096,7 +1094,7 @@ def bellman_ford(edges, seeds, rounds: int = 3,
 
     edges = edges.materialize()
     if edges.count() == 0:
-        return _empty(node=pa.int64(), dist=pa.int64())
+        return empty_table(node=pa.int64(), dist=pa.int64())
     small = _small_graph(edges, u_col, v_col)
     if small is not None:
         df, nodes, src, dst = small
@@ -1116,7 +1114,7 @@ def bellman_ford(edges, seeds, rounds: int = 3,
     sym = _symmetric(edges, u_col, v_col, w_col).materialize()
     state = _present_seeds(sym, seeds)
     if state.count() == 0:
-        return _empty(node=pa.int64(), dist=pa.int64())
+        return empty_table(node=pa.int64(), dist=pa.int64())
     for _ in range(rounds):
         cand = bucket_join(
             sym, state, on="src", right_on="node", how="inner"
@@ -1155,7 +1153,7 @@ def ppr_int(edges, seeds, iters: int = 4, scale: int = 10**12,
         r0=lambda seed, n, q: np.where(seed, scale // q, 0),
         base=lambda seed, n, q: np.where(seed, (15 * scale) // (100 * q), 0),
     )
-    return _empty(node=pa.int64(), r=pa.int64()) if out is None else out
+    return empty_table(node=pa.int64(), r=pa.int64()) if out is None else out
 
 
 def luby_mis(edges, rounds: int = 3, u_col: str = "u", v_col: str = "v"):
@@ -1368,7 +1366,7 @@ def neighborhood_hll(edges, hops: int = 3, p: int = 10,
         _, nodes, src, dst = small
         n = len(nodes)
         if n == 0:
-            return _empty(hop=pa.int64(), est_pairs=pa.float64())
+            return empty_table(hop=pa.int64(), est_pairs=pa.float64())
         regs = init_regs(pa.array(nodes))
         # per-round segment max via pandas groupby.max over the gathered
         # (E, m) matrix: 7x faster than np.maximum.reduceat on 2D

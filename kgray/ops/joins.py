@@ -1,9 +1,10 @@
-"""Join strategies: broadcast small-side lookup and partitioned hash join.
+"""Join strategies: broadcast small-side join and partitioned hash join.
 
 The reference's only joins are line-aligned zip joins and tiny dict
 lookups (SURVEY.md §2.4 J1-J2); at 100 TB those become either a broadcast
-(`ray.put` once, read per actor) or an all-to-all hash join.  We wrap both
-behind two helpers so every caller states its choice explicitly.
+(`ray.put` once, read per task: ``broadcast_join``) or an all-to-all
+bucketed hash join (``bucket_join``), so every caller states its choice
+explicitly.
 """
 
 from __future__ import annotations
@@ -14,72 +15,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from kgray.util import collect_table, fits_small
-
-
-def broadcast_lookup(
-    ds,
-    mapping: dict,
-    key_col: str,
-    out_col: str,
-    default=None,
-):
-    """Map ``key_col`` through a small dict shipped via the object store.
-
-    The dict is ``ray.put`` once; every task reads the shared copy —
-    never re-shipped per batch (J2 semantics: schema lookups,
-    produce_submit_json_file.py:27-76).
-    """
-    import ray
-
-    ref = ray.put(mapping)
-
-    def apply(batch: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        keys = batch[key_col].to_pylist()
-        vals = [m.get(k, default) for k in keys]
-        return batch.append_column(out_col, pa.array(vals))
-
-    return ds.map_batches(apply, batch_format="pyarrow")
-
-
-def hash_join(
-    left,
-    right,
-    on: str | tuple[str, ...],
-    right_on: str | tuple[str, ...] | None = None,
-    how: str = "inner",
-    num_partitions: int = 32,
-    left_suffix: str | None = None,
-    right_suffix: str | None = "_r",
-):
-    """Partitioned hash join on Ray Data's native ``Dataset.join``
-    (both sides shuffled by key hash into ``num_partitions`` buckets).
-
-    Size ``num_partitions`` so each bucket fits a worker's heap; skewed
-    keys should be salted by the caller before joining (SURVEY.md §4).
-
-    The effective partition count is capped at the cluster CPU count:
-    Ray's hash-shuffle join runs one aggregator actor per partition, and
-    asking for more aggregators than CPUs deadlocks a small cluster (the
-    cap is a no-op on a real multi-node cluster where CPUs >> partitions).
-    """
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    num_partitions = max(2, min(num_partitions, cpus))
-    on_t = (on,) if isinstance(on, str) else tuple(on)
-    r_t = None if right_on is None else (
-        (right_on,) if isinstance(right_on, str) else tuple(right_on)
-    )
-    return left.join(
-        right,
-        join_type=how,
-        num_partitions=num_partitions,
-        on=on_t,
-        right_on=r_t,
-        left_suffix=left_suffix,
-        right_suffix=right_suffix,
-    )
 
 
 def bucket_join(
@@ -124,6 +59,9 @@ def bucket_join(
     right_on = r_keys[0]
 
     l_schema, r_schema = left.schema(), right.schema()
+    if l_schema is None and how in ("inner", "left", "left_outer"):
+        # a left side with no rows reports no schema: it joins to no rows
+        return left
     left_cols = l_schema.names
     right_cols = r_schema.names
     dunder = [c for c in (*left_cols, *right_cols)

@@ -15,6 +15,12 @@ near-dup machinery; this follows the standard MinHash-LSH construction
               were already collapsed, so a block holds distinct strings);
   edges     = candidate pairs verified by exact shingle Jaccard >= tau.
 
+The MinHash scheme itself — hash params, signatures, band rows,
+candidate pairs and the exact-Jaccard verify — is the one in
+kgray.ops.dedup that document near-dup runs; linking adds the mention
+shingles (char 2-grams of the name), the same-type gate and the
+append-mode ``only_involving`` filter.
+
 All stages are map_batches + one groupby per hop; pair verification runs
 where the block lives (map_groups), never on the driver.
 """
@@ -26,10 +32,16 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
+from kgray.ops.dedup import (
+    _band_rows,
+    _candidate_pairs,
+    _hash_params,
+    _verify_jaccard,
+)
 from kgray.ops.tagging import normalize_entity
-
-from kgray.util import collect_small
+from kgray.util import collect_small, grouped_map
 
 _SEP = "\x1f"
 
@@ -40,38 +52,22 @@ def shingles(s: str, n: int = 2) -> set[str]:
     return {s[i : i + n] for i in range(len(s) - n + 1)}
 
 
-def _hash32(s: str) -> int:
-    return zlib.crc32(s.encode())
-
-
-# fixed random-odd multipliers for the k universal hash functions
-def _hash_params(k: int, seed: int = 1234) -> np.ndarray:
-    rs = np.random.RandomState(seed)
-    a = rs.randint(1, 2**31 - 1, size=k, dtype=np.int64) * 2 + 1
-    b = rs.randint(0, 2**31 - 1, size=k, dtype=np.int64)
-    return np.stack([a, b])
-
-
-_MERSENNE = (1 << 61) - 1
-
-
-def minhash_signature(s: str, params: np.ndarray) -> np.ndarray:
-    """k-wide minhash over char-2-gram crc32 shingle hashes."""
-    sh = shingles(s)
-    if not sh:
-        return np.zeros(params.shape[1], np.uint64)
-    hv = np.fromiter((_hash32(x) for x in sh), np.int64, len(sh))
-    a, b = params
-    # (k, n) universal hashes, min over shingles
-    m = (hv[None, :] * a[:, None] + b[:, None]) % _MERSENNE
-    return m.min(axis=1).astype(np.uint64)
+def _name_shingles(key: str) -> set[str]:
+    """Char-2-gram shingles of a mention key's surface name."""
+    return shingles(key.split(_SEP, 1)[1])
 
 
 def jaccard(a: str, b: str, n: int = 2) -> float:
-    sa, sb = shingles(a, n), shingles(b, n)
-    if not sa or not sb:
-        return 0.0
-    return len(sa & sb) / len(sa | sb)
+    """Char-n-gram shingle Jaccard; 0 when either string has none."""
+    js = _verify_jaccard([a], [b], [a], [b], lambda s: shingles(s, n), 0.0)[2]
+    return js[0] if js else 0.0
+
+
+def _edge_frame(us: list, vs: list, sims: list) -> pd.DataFrame:
+    """Linking edges (u, v mention keys; sim) as typed columns."""
+    return pd.DataFrame({"u": pd.array(us, dtype="string"),
+                         "v": pd.array(vs, dtype="string"),
+                         "sim": pd.array(sims, dtype="float64")})
 
 
 def mention_key(entity_type: str, name: str) -> str:
@@ -120,29 +116,24 @@ def mentions_from_triples(triples):
     )
 
 
-class BandEmitter:
-    """mention -> (band_key, mention_key) rows; minhash params built once
-    per actor (stateful-stage pattern, SURVEY.md §2.3)."""
+def _mention_bands(keys, params: np.ndarray, bands: int) -> pa.Table:
+    """(band_key, mention_key) rows of the mention keys ``keys``."""
+    keys = pc.cast(keys, pa.string())
+    return _band_rows(keys, [_name_shingles(k) for k in keys.to_pylist()],
+                      params, bands, "mention_key")
 
-    def __init__(self, num_hashes: int = 64, bands: int = 32):
-        assert num_hashes % bands == 0
-        self.params = _hash_params(num_hashes)
-        self.bands = bands
-        self.rows = num_hashes // bands
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from kgray.ops.dedup import band_keys, batch_signatures
+def BandEmitter(num_hashes: int = 64, bands: int = 32):
+    """mention batch -> (band_key, mention_key) rows: the distributed
+    linking path's band stage, minhash params built once and shipped in
+    the closure (a task stage, never an actor pool)."""
+    assert num_hashes % bands == 0
+    params = _hash_params(num_hashes)
 
-        keys = batch["mention_key"].to_pylist()
-        names = [mk.split(_SEP, 1)[1] for mk in keys]
-        sigs = batch_signatures([shingles(n) for n in names], self.params)
-        out_key = np.repeat(np.asarray(keys, object), self.bands)
-        return pa.table(
-            {
-                "band_key": pa.array(band_keys(sigs, self.bands)),
-                "mention_key": pa.array(out_key, pa.string()),
-            }
-        )
+    def emit(batch: pa.Table) -> pa.Table:
+        return _mention_bands(batch["mention_key"], params, bands)
+
+    return emit
 
 
 def mention_embeddings(ments, dim: int = 64):
@@ -183,10 +174,9 @@ def link_mentions_embedding(
     >= tau, same-type gate.  The quantizer bounds the candidate set the
     same way LSH bands do; ``max_block`` caps degenerate buckets.
     """
-    import pandas as pd
+    from ray.data.aggregate import Max
 
     from kgray.ops.similarity import fit_centroids, ivf_bucketize
-    from kgray.util import grouped_map
 
     ments = mentions_from_triples(triples)
     emb = mention_embeddings(ments, dim).materialize()
@@ -215,15 +205,7 @@ def link_mentions_embedding(
                 us.append(ku)
                 vs.append(kv)
                 sims.append(float(s[i, j]))
-        return pd.DataFrame(
-            {
-                "u": pd.array(us, dtype="string"),
-                "v": pd.array(vs, dtype="string"),
-                "sim": pd.array(sims, dtype="float64"),
-            }
-        )
-
-    from ray.data.aggregate import Max
+        return _edge_frame(us, vs, sims)
 
     return (
         grouped_map(bucketed, "bucket", bucket_pairs, num_buckets=16)
@@ -235,8 +217,8 @@ def link_mentions_embedding(
 def _bucket_verify_df(df: pd.DataFrame, tau: float,
                       max_block: int = 256,
                       only_involving: frozenset | None = None) -> pd.DataFrame:
-    """Pair-gen + in-bucket dedup + same-type gate + exact-Jaccard verify
-    over (band_key, mention_key) rows.  The shared kernel of BOTH linking
+    """Candidate pairs + same-type gate + exact-Jaccard verify over
+    (band_key, mention_key) rows.  The shared kernel of BOTH linking
     execution paths (distributed cogroup buckets and the driver-gate
     single call), so the two can never drift semantically.
 
@@ -244,103 +226,31 @@ def _bucket_verify_df(df: pd.DataFrame, tau: float,
     pairs with >= 1 endpoint in the set are verified — old-old pairs are
     already persisted by the previous run and the Jaccard work (the
     expensive part) is skipped for them."""
-    from kgray.util import pairs_within_groups
-
-    pairs = pairs_within_groups(
-        df, "band_key", "mention_key", max_block, dtype="string"
-    )
-    if len(pairs):
-        pairs = pairs.drop_duplicates(ignore_index=True)
+    pairs = _candidate_pairs(df, "mention_key", max_block, dtype="string")
     if only_involving is not None and len(pairs):
         keep = pairs["u"].isin(only_involving) | pairs["v"].isin(
             only_involving)
         pairs = pairs[keep]
-    cache: dict[str, set] = {}
+    # schema-constrained: same entity type only
+    def etype(col):
+        return col.str.split(_SEP, n=1).str[0]
 
-    def sh(key: str) -> set:
-        s = cache.get(key)
-        if s is None:
-            s = cache[key] = shingles(key.split(_SEP, 1)[1])
-        return s
-
-    us, vs, sims = [], [], []
-    for u, v in zip(pairs["u"].tolist(), pairs["v"].tolist()):
-        if u.split(_SEP, 1)[0] != v.split(_SEP, 1)[0]:
-            continue  # schema-constrained: same entity type only
-        sa, sb = sh(u), sh(v)
-        if not sa or not sb:
-            continue
-        sim = len(sa & sb) / len(sa | sb)
-        if sim >= tau:
-            us.append(u)
-            vs.append(v)
-            sims.append(sim)
-    return pd.DataFrame(
-        {
-            "u": pd.array(us, dtype="string"),
-            "v": pd.array(vs, dtype="string"),
-            "sim": pd.array(sims, dtype="float64"),
-        }
-    )
+    pairs = pairs[etype(pairs["u"]) == etype(pairs["v"])]
+    us, vs = pairs["u"].tolist(), pairs["v"].tolist()
+    return _edge_frame(*_verify_jaccard(us, vs, us, vs, _name_shingles, tau))
 
 
-def _verified_pairs_fused(banded, tau: float, max_block: int = 256,
-                          only_involving: frozenset | None = None):
-    """Fused distributed path: ONE band-bucket cogroup runs
-    ``_bucket_verify_df`` where the block lives; cross-bucket duplicate
-    candidates verify redundantly (deterministic, tiny) and collapse in a
-    final Max-aggregate.  2 shuffles total.  ``only_involving`` ships via
-    the object store once (ray.put) for the append-mode restriction."""
-    import ray
-    from ray.data.aggregate import Max
-
-    from kgray.util import grouped_map
-
-    ref = ray.put(only_involving) if only_involving is not None else None
-
-    def bucket_verify(df: pd.DataFrame) -> pd.DataFrame:
-        new_set = ray.get(ref) if ref is not None else None
-        return _bucket_verify_df(df, tau, max_block,
-                                 only_involving=new_set)
-
-    return (
-        grouped_map(banded, "band_key", bucket_verify)
-        .groupby(["u", "v"])
-        .aggregate(Max("sim", alias_name="sim"))
-    )
-
-
-def _driver_link(mention_keys: list[str], num_hashes: int, bands: int,
+def _driver_link(mention_keys: pa.Array, num_hashes: int, bands: int,
                  tau: float, max_block: int = 256,
                  only_involving: frozenset | None = None) -> pa.Table:
-    """Small-side linking: signatures + banding + verify in one in-process
-    call (same kernels — ``batch_signatures``/``band_keys``/
-    ``_bucket_verify_df`` — as the distributed path)."""
-    from kgray.ops.dedup import band_keys, batch_signatures
-
-    params = _hash_params(num_hashes)
-    names = [mk.split(_SEP, 1)[1] for mk in mention_keys]
-    sigs = batch_signatures([shingles(n) for n in names], params)
-    bk = band_keys(sigs, bands)
-    df = pd.DataFrame(
-        {
-            "band_key": bk,
-            "mention_key": np.repeat(np.asarray(mention_keys, object), bands),
-        }
-    )
-    edges = _bucket_verify_df(df, tau, max_block,
+    """Small-side linking: banding + verify in one in-process call (the
+    same kernels — ``_mention_bands``/``_bucket_verify_df`` — as the
+    distributed path)."""
+    band_rows = _mention_bands(mention_keys, _hash_params(num_hashes), bands)
+    edges = _bucket_verify_df(band_rows.to_pandas(), tau, max_block,
                               only_involving=only_involving)
-    if len(edges):
-        edges = (
-            edges.groupby(["u", "v"], sort=False)["sim"].max().reset_index()
-        )
-    return pa.table(
-        {
-            "u": pa.array(edges["u"].tolist(), pa.string()),
-            "v": pa.array(edges["v"].tolist(), pa.string()),
-            "sim": pa.array(edges["sim"].tolist(), pa.float64()),
-        }
-    )
+    return pa.Table.from_pandas(edges, preserve_index=False) \
+        .replace_schema_metadata(None)
 
 
 def link_mentions(
@@ -393,13 +303,14 @@ def link_from_mentions(
     edges); above it, or under KGRAY_FORCE_DISTRIBUTED, the distributed
     banded-cogroup path is the 100-TB route.  Both paths share the
     signature/banding/verify kernels (``_bucket_verify_df``)."""
-    import pyarrow.compute as pc
+    import ray
     import ray.data as rd
+    from ray.data.aggregate import Max
 
     tbl = collect_small(ments, max_rows=MAX_DRIVER_MENTIONS)
     if tbl is not None:
-        keys = pc.unique(tbl["mention_key"]).to_pylist() \
-            if tbl.num_rows else []
+        keys = pc.unique(tbl["mention_key"]) if tbl.num_rows \
+            else pa.array([], pa.string())
         return rd.from_arrow(
             _driver_link(keys, num_hashes, bands, tau,
                          only_involving=new_keys)
@@ -408,4 +319,15 @@ def link_from_mentions(
         BandEmitter(num_hashes=num_hashes, bands=bands),
         batch_format="pyarrow",
     )
-    return _verified_pairs_fused(banded, tau=tau, only_involving=new_keys)
+    # ONE band-bucket cogroup runs ``_bucket_verify_df`` where the block
+    # lives; cross-bucket duplicate candidates verify redundantly
+    # (deterministic, tiny) and collapse in a final Max-aggregate: 2
+    # shuffles total.  ``new_keys`` ships via the object store once.
+    ref = ray.put(new_keys)
+    return (
+        grouped_map(banded, "band_key",
+                    lambda df: _bucket_verify_df(
+                        df, tau, only_involving=ray.get(ref)))
+        .groupby(["u", "v"])
+        .aggregate(Max("sim", alias_name="sim"))
+    )

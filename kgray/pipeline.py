@@ -1,17 +1,15 @@
-"""Pipeline assembly: named steps Dataset -> Dataset, extraction pipeline.
+"""Pipeline assembly: Dataset -> Dataset steps, extraction pipeline.
 
 The reference runs its stages as separate OS processes glued by files
 (SURVEY.md §3.1); here each stage is a Ray Data transform on one lazy,
 streaming Dataset — the executor pipelines and applies backpressure.
-
-Registry: steps are named callables (cfg) -> (Dataset -> Dataset),
-mirroring the reference's model-pluggability-by-name extension surface
-(/root/reference/classification/config.py:58, labeling/config.py:42).
+Scorer and labeler stay pluggable through ``PipelineConfig``'s
+``classifier_cls`` / ``labeler_cls``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -43,10 +41,6 @@ class PipelineConfig:
     # actor-pool sizing when execution="actors"; None = (1, cluster CPUs)
     classifier_concurrency: tuple[int, int] | None = None
     labeler_concurrency: tuple[int, int] | None = None
-    # None = one batch per block (fewer slice/dispatch overheads; measured
-    # 24.3s -> 17.7s at 32 cpus on a 2M-doc run vs batch_size=4096)
-    classify_batch_size: int | None = None
-    label_batch_size: int | None = None
 
     def resolved_concurrency(self) -> tuple[tuple[int, int], tuple[int, int]]:
         import ray
@@ -55,14 +49,13 @@ class PipelineConfig:
         cls_c = self.classifier_concurrency or (1, max(2, cpus))
         lbl_c = self.labeler_concurrency or (1, max(2, cpus))
         return cls_c, lbl_c
-    encoding_type: str = "bieso"          # labeling/tagging.py:9-11 knob
     threshold: float = 0.5                # prob2res.py:14 knob
     fallback_top_k: int = 10              # prepare_data_for_labeling_infer.py:28
     classifier_cls: type = CueClassifier  # pluggable scorer (A1-A3 slot)
     labeler_cls: type = TemplateLabeler   # pluggable labeler (A4-A5 slot)
 
 
-def flatten_documents(docs, cfg: PipelineConfig | None = None):
+def flatten_documents(docs):
     """interleaved documents -> (doc_id, text) rows; spans dropped here so
     downstream shuffles move only what they need (re-joined by doc_id at
     materialization time)."""
@@ -97,18 +90,16 @@ def extract_triples(docs, cfg: PipelineConfig | None = None):
             flat = reassemble_text(b, keep_spans=False)
             return lab(fanout(threshold_and_fallback(clf(flat), thr, top_k)))
 
-        return docs.map_batches(
-            fused_extract,
-            batch_format="pyarrow",
-            batch_size=cfg.classify_batch_size,
-        )
+        # batch_size stays Ray's default (one batch per block: fewer
+        # slice/dispatch overheads; measured 24.3s -> 17.7s at 32 cpus on
+        # a 2M-doc run vs batch_size=4096)
+        return docs.map_batches(fused_extract, batch_format="pyarrow")
 
-    ds = flatten_documents(docs, cfg)
+    ds = flatten_documents(docs)
     cls_c, lbl_c = cfg.resolved_concurrency()
     ds = ds.map_batches(
         cfg.classifier_cls,
         batch_format="pyarrow",
-        batch_size=cfg.classify_batch_size,
         concurrency=cls_c,
     )
     ds = ds.map_batches(
@@ -120,7 +111,6 @@ def extract_triples(docs, cfg: PipelineConfig | None = None):
     ds = ds.map_batches(
         cfg.labeler_cls,
         batch_format="pyarrow",
-        batch_size=cfg.label_batch_size,
         concurrency=lbl_c,
     )
     return ds
@@ -432,33 +422,6 @@ def kg_construct(
         "triples_canonical": canon_dir,
     }, note="kg_construct")
     return manifests
-
-
-# ---------------------------------------------------------------------------
-# Step registry (extension surface)
-# ---------------------------------------------------------------------------
-
-_REGISTRY: dict[str, object] = {}
-
-
-def register_step(name: str):
-    def deco(fn):
-        _REGISTRY[name] = fn
-        return fn
-    return deco
-
-
-def get_step(name: str):
-    return _REGISTRY[name]
-
-
-def steps() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-register_step("flatten")(flatten_documents)
-register_step("extract")(extract_triples)
-register_step("golden")(lambda ds, cfg=None: golden_triples(ds))
 
 
 def forget_docs(out_dir: str, doc_ids, hard: bool = False) -> dict:

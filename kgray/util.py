@@ -65,6 +65,11 @@ def collect_small(ds, *, max_rows=None, max_bytes=None) -> pa.Table | None:
     return collect_table(ds)
 
 
+def empty_table(**cols) -> pa.Table:
+    """The 0-row result table with the given column types."""
+    return pa.table({c: pa.array([], t) for c, t in cols.items()})
+
+
 def round_half_up(x, digits: int = 4):
     """Round half-away-from-zero, matching SQL ROUND (numpy/python round
     is half-even and flips x.xxx5 boundary values vs DuckDB)."""

@@ -335,3 +335,85 @@ def test_minhash_bucket_join_path_without_candidates(ray_session,
     forced = collect_table(minhash_dup_pairs(docs, tau=0.7))
     assert driver.num_rows == forced.num_rows == 0
     assert driver.schema.equals(want) and forced.schema.equals(want)
+
+
+def _docs_table(n):
+    import pyarrow as pa
+
+    rs = np.random.RandomState(5)
+    words = [f"w{i}" for i in range(12)]
+    texts = [" ".join(rs.choice(words, 14)) for _ in range(n)]
+    return rd.from_arrow(pa.table({
+        "doc_id": pa.array(np.arange(n), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+    }))
+
+
+def _embedding_table(n):
+    import pyarrow as pa
+
+    m = np.random.RandomState(5).rand(n, 4).astype(np.float32)
+    return rd.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(n), pa.int64()),
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(m.reshape(-1)), 4),
+    }))
+
+
+def _near_dup_ops():
+    import pyarrow as pa
+
+    from kgray.ops import dedup
+
+    def shingle_rows(batch):
+        rows = [(g, i) for i, t in zip(batch["doc_id"].to_pylist(),
+                                       batch["text"].to_pylist())
+                for g in dedup.word_shingles(t)]
+        return pa.table({
+            "shingle": pa.array([r[0] for r in rows], pa.string()),
+            "doc": pa.array([r[1] for r in rows], pa.int64()),
+        })
+
+    return {
+        "dup_ngram_stats": (_docs_table,
+                            lambda d: dedup.dup_ngram_stats(d, n=3)),
+        "ngram_contamination": (
+            _docs_table,
+            lambda d: dedup.ngram_contamination(d, lambda i: i % 2 == 0, n=3)),
+        "ngram_contamination_no_test_doc": (
+            _docs_table,
+            lambda d: dedup.ngram_contamination(d, lambda i: i < 0, n=3)),
+        "embedding_dup_pairs": (
+            _embedding_table,
+            lambda e: dedup.embedding_dup_pairs(e, tau=0.9)),
+        "dup_span_stats": (_docs_table,
+                           lambda d: dedup.dup_span_stats(d, window=8)),
+        "dup_span_purge": (_docs_table,
+                           lambda d: dedup.dup_span_purge(d, window=8)),
+        "exact_dedup_groups": (_docs_table, dedup.exact_dedup_groups),
+        "exact_dedup_keep": (_docs_table, dedup.exact_dedup_keep),
+        "set_jaccard_pairs_prefix": (
+            _docs_table,
+            lambda d: dedup.set_jaccard_pairs_prefix(
+                d.map_batches(shingle_rows, batch_format="pyarrow"),
+                tau=0.3)),
+        "minhash_cross_pairs": (
+            _docs_table, lambda d: dedup.minhash_cross_pairs(d, d)),
+    }
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
+@pytest.mark.parametrize("op", sorted(_near_dup_ops()))
+def test_near_dup_ops_keep_schema_on_empty_input(ray_session, monkeypatch,
+                                                 op, forced):
+    """An empty input gives no rows and the schema a small non-empty
+    input gives, on the in-process and the partitioned paths."""
+    if forced:
+        monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    make, run = _near_dup_ops()[op]
+    want = run(make(8)).materialize().schema()
+    got = run(make(0)).materialize()
+    assert got.count() == 0
+    assert got.schema() is not None
+    assert list(zip(got.schema().names, got.schema().types)) == \
+        list(zip(want.names, want.types))

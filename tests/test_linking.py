@@ -6,13 +6,13 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from kgray.ops.dedup import batch_signatures
 from kgray.ops.linking import (
     BandEmitter,
     jaccard,
     link_mentions,
     mention_key,
     mentions_from_triples,
-    minhash_signature,
     _hash_params,
     shingles,
 )
@@ -31,13 +31,15 @@ def test_shingles_and_jaccard():
 
 def test_minhash_similarity_monotone():
     p = _hash_params(64)
-    a = minhash_signature("维克多·谢阁兰", p)
-    b = minhash_signature("维克多谢阁兰", p)
-    c = minhash_signature("完全无关的字符串", p)
+    a, b, c = batch_signatures(
+        [shingles(s) for s in ("维克多·谢阁兰", "维克多谢阁兰", "完全无关的字符串")],
+        p,
+    )
     sim_ab = (a == b).mean()
     sim_ac = (a == c).mean()
     assert sim_ab > sim_ac
-    assert (minhash_signature("维克多·谢阁兰", p) == a).all()  # deterministic
+    # deterministic
+    assert (batch_signatures([shingles("维克多·谢阁兰")], p)[0] == a).all()
 
 
 def test_mentions_dedup_and_count():

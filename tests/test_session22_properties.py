@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,3 +110,33 @@ def test_greedy_matching_matches_sequential_reference(pairs):
          "v": [p[1] for p in pairs]}))).to_pandas()
     got_set = {(r.u, r.v, r.round) for r in got.itertuples()}
     assert got_set == _brute_matching(pairs)
+
+
+def _random_multigraph(seed):
+    """10-15 nodes, 40-60 edges, self-loops and duplicates included."""
+    rs = np.random.RandomState(seed)
+    n, m = rs.randint(10, 16), rs.randint(40, 61)
+    return pd.DataFrame({"u": rs.randint(0, n, m), "v": rs.randint(0, n, m)})
+
+
+# each seed's rounds bucket_join a filtered, projected side (its Dataset
+# schema must not list the dropped ``me``); seed 6 also bucket_joins an
+# empty, schema-less left side
+@pytest.mark.parametrize("seed", [0, 1, 4, 6])
+def test_greedy_matching_partitioned_path_matches_in_process(seed,
+                                                             monkeypatch):
+    """The partitioned rounds (bucket joins + anti semi-joins) give the
+    in-process kernel's matching, rounds included."""
+    import ray.data as rd
+
+    from kgray.ops.graph import greedy_matching
+
+    edges = _random_multigraph(seed)
+
+    def matching():
+        out = greedy_matching(rd.from_pandas(edges)).to_pandas()
+        return sorted(map(tuple, out[["u", "v", "round"]].to_numpy().tolist()))
+
+    want = matching()
+    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+    assert matching() == want
