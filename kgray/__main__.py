@@ -22,11 +22,29 @@ On a cluster the same command line goes through the job API:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 import time
+
+
+@contextlib.contextmanager
+def _ray_session(**init_kwargs):
+    """Run a command inside the caller's Ray session when one is up;
+    otherwise start one with ``init_kwargs`` and shut it down when the
+    command ends, also when it raises."""
+    import ray
+
+    owns_session = not ray.is_initialized()
+    if owns_session:
+        ray.init(**init_kwargs)
+    try:
+        yield
+    finally:
+        if owns_session:
+            ray.shutdown()
 
 
 def _path_fingerprint(path: str) -> str:
@@ -46,37 +64,34 @@ def _path_fingerprint(path: str) -> str:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    import ray
+    # no address: joins the job's cluster under `ray job submit`
+    with _ray_session(ignore_reinit_error=True):
+        from kgray import io
+        from kgray.pipeline import PipelineConfig, kg_construct
 
-    owns_session = not ray.is_initialized()
-    if owns_session:
-        ray.init(ignore_reinit_error=True)
+        if args.synthetic:
+            from kgray.corpus import interleaved_dataset
 
-    from kgray import io
-    from kgray.pipeline import PipelineConfig, kg_construct
+            docs = interleaved_dataset(args.synthetic, seed=args.seed,
+                                       start=args.synthetic_start)
+            fp = (f"synthetic-{args.synthetic}-{args.seed}-"
+                  f"{args.synthetic_start}")
+        else:
+            docs = io.read_table(args.input)
+            fp = _path_fingerprint(args.input)
 
-    if args.synthetic:
-        from kgray.corpus import interleaved_dataset
-
-        docs = interleaved_dataset(args.synthetic, seed=args.seed,
-                                   start=args.synthetic_start)
-        fp = f"synthetic-{args.synthetic}-{args.seed}-{args.synthetic_start}"
-    else:
-        docs = io.read_table(args.input)
-        fp = _path_fingerprint(args.input)
-
-    t0 = time.time()
-    manifests = kg_construct(
-        docs,
-        args.output,
-        PipelineConfig(execution=args.execution),
-        num_partitions=args.partitions,
-        tau=args.tau,
-        input_fingerprint=fp,
-        resume=not args.no_resume,
-        append=args.append,
-    )
-    wall = round(time.time() - t0, 3)
+        t0 = time.time()
+        manifests = kg_construct(
+            docs,
+            args.output,
+            PipelineConfig(execution=args.execution),
+            num_partitions=args.partitions,
+            tau=args.tau,
+            input_fingerprint=fp,
+            resume=not args.no_resume,
+            append=args.append,
+        )
+        wall = round(time.time() - t0, 3)
     metrics = {
         name: {
             "rows": sum(p.get("rows", 0) for p in m.get("partitions", {}).values()),
@@ -94,8 +109,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "input_fingerprint": fp,
         "tables": metrics,
     }))
-    if owns_session:
-        ray.shutdown()
     return 0
 
 
@@ -215,15 +228,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_txn(args) -> int:
-    from kgray import io as _kio
-
-    if getattr(args, "prune", False):
-        n = _kio.prune_txn_pins(args.root)
-        print(f"pruned {n} destroyed pin(s)")
     import json as _json
 
     from kgray import io as kio
 
+    if getattr(args, "prune", False):
+        n = kio.prune_txn_pins(args.root)
+        print(f"pruned {n} destroyed pin(s)")
     if args.show is not None:
         txns = {r["txn"]: r for r in kio.list_txns(args.root)}
         if args.show not in txns:
@@ -258,14 +269,10 @@ def _cmd_refresh(args) -> int:
             [k.strip() for k in args.keys.split(",")], specs,
             columns=[c.strip() for c in args.columns.split(",")]
             if args.columns else None)
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", include_dashboard=False,
-                 ignore_reinit_error=True)
-    info = refresh_all(args.registry_dir)
+    with _ray_session(address="local", include_dashboard=False,
+                      ignore_reinit_error=True):
+        info = refresh_all(args.registry_dir)
     print(_json.dumps(info, sort_keys=True))
-    ray.shutdown()
     return 0
 
 
@@ -281,19 +288,15 @@ def _cmd_query(args) -> int:
     if args.name not in CATALOG:
         print(f"unknown query {args.name!r} (see --list)", file=sys.stderr)
         return 2
-    import ray
-
-    owns_session = not ray.is_initialized()
-    if owns_session:
-        ray.init(address="local", include_dashboard=False)
     fn, sql = CATALOG[args.name]
-    t0 = time.time()
-    res = fn(args.sf)
-    if hasattr(res, "to_pandas"):
-        df = res.to_pandas()
-    else:
-        df = res
-    wall = round(time.time() - t0, 3)
+    with _ray_session(address="local", include_dashboard=False):
+        t0 = time.time()
+        res = fn(args.sf)
+        if hasattr(res, "to_pandas"):
+            df = res.to_pandas()
+        else:
+            df = res
+        wall = round(time.time() - t0, 3)
     if args.out:
         import pyarrow as pa
         import pyarrow.parquet as pq
@@ -306,24 +309,16 @@ def _cmd_query(args) -> int:
         "out": args.out or None,
         "head": _json.loads(df.head(args.head).to_json(orient="records")),
     }))
-    if owns_session:
-        ray.shutdown()
     return 0
 
 
 def _cmd_forget(args) -> int:
     import json as _json
 
-    import ray
-
     from kgray.pipeline import forget_docs
 
-    owns_session = not ray.is_initialized()
-    if owns_session:
-        ray.init(address="local", include_dashboard=False)
-    ms = forget_docs(args.out_dir, args.doc_ids, hard=args.hard)
-    if owns_session:
-        ray.shutdown()
+    with _ray_session(address="local", include_dashboard=False):
+        ms = forget_docs(args.out_dir, args.doc_ids, hard=args.hard)
     print(_json.dumps({
         t: {"rows": sum(int(p["rows"]) for p in m["partitions"].values()),
             "version": m.get("version")}
@@ -360,23 +355,18 @@ def _cmd_versions(args) -> int:
 def _cmd_compact(args) -> int:
     import json as _json
 
-    import ray
-
     from kgray.io import compact_partitioned
 
-    owns_session = not ray.is_initialized()
-    if owns_session:
-        ray.init(address="local", include_dashboard=False)
     out = {}
-    for path in args.tables:
-        m = compact_partitioned(path, target_bytes=args.target_mb << 20)
-        out[path] = {
-            "partitions": len(m["partitions"]),
-            "files": sum(len(p["files"]) for p in m["partitions"].values()),
-        }
+    with _ray_session(address="local", include_dashboard=False):
+        for path in args.tables:
+            m = compact_partitioned(path, target_bytes=args.target_mb << 20)
+            out[path] = {
+                "partitions": len(m["partitions"]),
+                "files": sum(len(p["files"])
+                             for p in m["partitions"].values()),
+            }
     print(_json.dumps({"compacted": out}))
-    if owns_session:
-        ray.shutdown()
     return 0
 
 

@@ -38,17 +38,6 @@ class PipelineConfig:
     #     width strangles the fused read->classify chain (measured 0.35
     #     scaling efficiency with cpus//4 caps).
     execution: str = "tasks"
-    # actor-pool sizing when execution="actors"; None = (1, cluster CPUs)
-    classifier_concurrency: tuple[int, int] | None = None
-    labeler_concurrency: tuple[int, int] | None = None
-
-    def resolved_concurrency(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        cls_c = self.classifier_concurrency or (1, max(2, cpus))
-        lbl_c = self.labeler_concurrency or (1, max(2, cpus))
-        return cls_c, lbl_c
     threshold: float = 0.5                # prob2res.py:14 knob
     fallback_top_k: int = 10              # prepare_data_for_labeling_infer.py:28
     classifier_cls: type = CueClassifier  # pluggable scorer (A1-A3 slot)
@@ -95,12 +84,15 @@ def extract_triples(docs, cfg: PipelineConfig | None = None):
         # a 2M-doc run vs batch_size=4096)
         return docs.map_batches(fused_extract, batch_format="pyarrow")
 
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    pool = (1, max(2, cpus))  # each actor pool spans (1, cluster CPUs)
     ds = flatten_documents(docs)
-    cls_c, lbl_c = cfg.resolved_concurrency()
     ds = ds.map_batches(
         cfg.classifier_cls,
         batch_format="pyarrow",
-        concurrency=cls_c,
+        concurrency=pool,
     )
     ds = ds.map_batches(
         lambda b: fanout(
@@ -111,7 +103,7 @@ def extract_triples(docs, cfg: PipelineConfig | None = None):
     ds = ds.map_batches(
         cfg.labeler_cls,
         batch_format="pyarrow",
-        concurrency=lbl_c,
+        concurrency=pool,
     )
     return ds
 
@@ -142,17 +134,24 @@ def golden_triples(sentences):
     return sentences.map_batches(explode, batch_format="pyarrow")
 
 
-def _edges_or_empty(edges_ds):
-    """read_table returns None for an empty persisted table (a corpus
-    with zero link edges is legal); CC needs a typed empty Dataset."""
-    if edges_ds is not None:
-        return edges_ds
-    import ray.data as rd
-
-    return rd.from_arrow(pa.table(
-        {"u": pa.array([], pa.string()), "v": pa.array([], pa.string()),
-         "sim": pa.array([], pa.float64())}
-    ))
+# kg_construct's tables in stage order: io.write_partitioned layouts.
+# doc_id zone maps: partitions are assigned by crc32(doc_id), which
+# scatters ids uniformly, so each partition's zone spans ~the whole
+# doc_id range and range pruning here is best-effort only (it never
+# wrongly prunes; it mostly helps a reader probing a range narrower
+# than the corpus, or a corpus whose id space is sparse/segmented).
+# The zones' primary value on these tables is the audit trail: min/max
+# per partition attests which id universe each partition covers.
+_TABLES = {
+    "triples": dict(key_col="doc_id", stage="extract",
+                    stats_cols=("doc_id",), bloom_cols=("doc_id",)),
+    "mentions": dict(key_col="mention_key", stage="mentions"),
+    "edges": dict(key_col="u", stage="link"),
+    "entities": dict(key_col="node", stage="link+canonicalize"),
+    "triples_canonical": dict(key_col="doc_id", stage="materialize",
+                              stats_cols=("doc_id",),
+                              bloom_cols=("doc_id", "subject_canonical")),
+}
 
 
 # _entities_changed's in-process diff gate: rows of each entity map (read
@@ -211,6 +210,11 @@ def kg_construct(
     edges), ``entities/`` (the mention -> canonical component map) and
     ``triples_canonical/``.  Returns the manifests dict.
 
+    Each stage after extraction is skipped when its stored manifest
+    carries its upstream's content hash (lineage; checked first in
+    append mode too), else written with its layout from ``_TABLES``; an
+    upstream table without rows (``io.read_table``: None) writes it empty.
+
     ``append=True`` (incremental / standing-pipeline mode): ``docs`` is
     an INCREMENTAL batch of new documents (doc_ids disjoint from prior
     runs).  Only new-batch work runs at corpus scale:
@@ -232,64 +236,73 @@ def kg_construct(
     """
     import os
 
+    import ray.data as rd
+    from ray.data.aggregate import Sum
+
     from kgray import io
-    from kgray.ops.canonical import canonicalize_triples, connected_components
-    from kgray.ops.linking import link_from_mentions, mentions_from_triples
-    from kgray.util import collect_table
+    from kgray.ops import canonical, joins, linking
+    from kgray.util import collect_table, empty_table
 
     cfg = cfg or PipelineConfig()
+    dirs = {t: os.path.join(out_dir, t) for t in _TABLES}
+    # every stored manifest, read once before the first write
+    stored = {t: io.read_manifest(d) for t, d in dirs.items()}
+    prior = stored if resume else {}  # lineage trusts them on resume only
     manifests = {}
 
-    triples_dir = os.path.join(out_dir, "triples")
+    def read(table, f=None, *args, **kwargs):
+        """A stored table, or ``f`` over it; None when it has no rows."""
+        ds = io.read_table(dirs[table])
+        return ds if ds is None or f is None else f(ds, *args, **kwargs)
+
+    def step(table, fp, build, keep=None, skip=None):
+        """Keep the stored manifest when ``skip`` (default: its lineage
+        equals ``fp``), else write and return ``build()`` under ``fp``;
+        None (an upstream table without rows) writes the table empty."""
+        if skip is None:
+            skip = (prior.get(table) or {}).get("input_fingerprint") == fp
+        if skip:
+            manifests[table] = stored[table]
+            return None
+        ds = build()
+        if ds is None:
+            key = _TABLES[table]["key_col"]
+            ds = rd.from_arrow(empty_table(**{key: pa.string()}))
+        manifests[table] = io.write_partitioned(
+            ds, dirs[table], num_partitions=num_partitions,
+            input_fingerprint=fp, keep_partitions=keep, **_TABLES[table],
+        )
+        return ds
+
     new_triples = None  # materialized new-batch triples (append mode)
     if append:
-        old_tr_m = io.read_manifest(triples_dir)
-        if old_tr_m is None:
+        tr_m = stored["triples"]
+        if tr_m is None:
             raise ValueError(
                 "append=True requires an existing kg_construct output "
-                f"(no manifest under {triples_dir})"
+                f"(no manifest under {dirs['triples']})"
             )
-        num_partitions = int(old_tr_m.get("num_partitions", num_partitions))
+        num_partitions = int(tr_m.get("num_partitions", num_partitions))
         # idempotence: the manifest's fingerprint chain records every
         # applied batch; re-running the same append (driver retry) is a
-        # no-op resume, NOT a duplicate write
-        applied = old_tr_m.get("input_fingerprint", "").split("+")
-        if input_fingerprint and input_fingerprint in applied:
-            manifests["triples"] = old_tr_m
-            append = False  # downstream falls to fingerprint-skip paths
-        else:
-            keep = {int(p) for p in old_tr_m.get("partitions", {})}
-            combined_fp = (
-                f"{old_tr_m.get('input_fingerprint', '')}+{input_fingerprint}"
-            )
-            # materialized: reused below for mentions + canonical append
-            # without re-reading mixed old/new partition files
-            new_triples = extract_triples(docs, cfg).materialize()
-            manifests["triples"] = io.write_partitioned(
-                new_triples, triples_dir, "doc_id", num_partitions,
-                stage="extract", input_fingerprint=combined_fp,
-                keep_partitions=keep, stats_cols=("doc_id",),
-                bloom_cols=("doc_id",),
-            )
-    if not append and "triples" not in manifests:
-        done = io.completed_partitions(triples_dir, input_fingerprint) if resume else set()
-        pending_docs = io.filter_pending(docs, "doc_id", num_partitions, done)
+        # no-op resume, NOT a duplicate write, and downstream falls to
+        # the lineage skips
+        chain = tr_m.get("input_fingerprint", "")
+        # materialized: reused below for mentions + canonical append
+        # without re-reading mixed old/new partition files
+        new_triples = step(
+            "triples", f"{chain}+{input_fingerprint}",
+            lambda: extract_triples(docs, cfg).materialize(),
+            keep={int(p) for p in tr_m.get("partitions", {})},
+            skip=bool(input_fingerprint) and input_fingerprint in chain.split("+"))
+    else:
+        done = io.completed_partitions(dirs["triples"], input_fingerprint) \
+            if resume else set()
         # NOTE: per-partition resume appends only missing partitions; the
         # written layout is the checkpoint (io.py docstring).
-        triples = extract_triples(pending_docs, cfg)
-        # doc_id zone maps: partitions are assigned by crc32(doc_id), which
-        # scatters ids uniformly, so each partition's zone spans ~the whole
-        # doc_id range and range pruning here is best-effort only (it never
-        # wrongly prunes; it mostly helps a reader probing a range narrower
-        # than the corpus, or a corpus whose id space is sparse/segmented).
-        # The zones' primary value on this table is the audit trail: min/max
-        # per partition attests which id universe each partition covers.
-        manifests["triples"] = io.write_partitioned(
-            triples, triples_dir, "doc_id", num_partitions,
-            stage="extract", input_fingerprint=input_fingerprint,
-            keep_partitions=done, stats_cols=("doc_id",),
-            bloom_cols=("doc_id",),
-        )
+        step("triples", input_fingerprint, lambda: extract_triples(
+            io.filter_pending(docs, "doc_id", num_partitions, done), cfg),
+            keep=done, skip=False)
 
     # Downstream stages carry LINEAGE fingerprints: each stage's
     # input_fingerprint is the content fingerprint of its upstream
@@ -297,130 +310,72 @@ def kg_construct(
     # the stage entirely (incremental recompute — the manifest attests
     # both the bytes and the derivation).
     tr_fp = io.manifest_content_hash(manifests["triples"])
-    ments_dir = os.path.join(out_dir, "mentions")
-    edges_dir = os.path.join(out_dir, "edges")
-    ments_m = io.read_manifest(ments_dir) if resume else None
     new_keys: frozenset | None = None
-    old_ments = io.read_table(ments_dir) if append else None
-    if append and old_ments is not None:
-        from ray.data.aggregate import Sum
 
-        from kgray.ops.joins import semi_join
-
-        new_partials = mentions_from_triples(new_triples).materialize()
+    def mentions():
+        nonlocal new_keys
+        old = read("mentions") if new_triples is not None else None
+        if old is None:
+            return read("triples", linking.mentions_from_triples)
+        new_partials = linking.mentions_from_triples(new_triples).materialize()
         # first-seen keys: batch scale (they broadcast into the verify)
-        new_only = semi_join(new_partials, old_ments, on="mention_key",
-                             anti=True)
+        new_only = joins.semi_join(new_partials, old, on="mention_key",
+                                   anti=True)
         new_keys = frozenset(
             collect_table(new_only)["mention_key"].to_pylist()
         )
         # union + re-aggregate, MATERIALIZED before the rewrite (the
         # lazy union reads the very files the write hygiene deletes)
-        ments = (
-            old_ments.union(new_partials)
+        return (
+            old.union(new_partials)
             .groupby("mention_key")
             .aggregate(Sum("n", alias_name="n"))
             .materialize()
         )
-        manifests["mentions"] = io.write_partitioned(
-            ments, ments_dir, "mention_key", num_partitions,
-            stage="mentions", input_fingerprint=tr_fp,
-        )
-    elif ments_m is not None and ments_m.get("input_fingerprint") == tr_fp:
-        manifests["mentions"] = ments_m  # unchanged upstream: skipped
-    else:
-        ments = mentions_from_triples(io.read_table(triples_dir))
-        manifests["mentions"] = io.write_partitioned(
-            ments, ments_dir, "mention_key", num_partitions,
-            stage="mentions", input_fingerprint=tr_fp,
-        )
 
-    ments_fp = io.manifest_content_hash(manifests["mentions"])
-    edges_m = io.read_manifest(edges_dir) if resume else None
-    stored_edges = io.read_table(edges_dir) if append else None
-    if append and stored_edges is not None and new_keys is not None:
+    def edges():
+        old = read("edges") if new_keys is not None else None
+        if old is None:
+            return read("mentions", linking.link_from_mentions, tau=tau)
         if new_keys:
-            new_edges = link_from_mentions(
-                io.read_table(ments_dir), new_keys=new_keys, tau=tau,
-            )
-            edges_all = stored_edges.union(new_edges).materialize()
-        else:
-            edges_all = stored_edges.materialize()
-        manifests["edges"] = io.write_partitioned(
-            edges_all, edges_dir, "u", num_partitions,
-            stage="link", input_fingerprint=ments_fp,
-        )
-    elif edges_m is not None and edges_m.get("input_fingerprint") == ments_fp:
-        manifests["edges"] = edges_m
-    else:
-        ments_ds = io.read_table(ments_dir)
-        edges = (
-            link_from_mentions(ments_ds, tau=tau) if ments_ds is not None
-            else _edges_or_empty(None)
-        )
-        manifests["edges"] = io.write_partitioned(
-            edges, edges_dir, "u", num_partitions,
-            stage="link", input_fingerprint=ments_fp,
-        )
+            old = old.union(linking.link_from_mentions(
+                read("mentions"), new_keys=new_keys, tau=tau))
+        return old.materialize()
 
-    edges_fp = io.manifest_content_hash(manifests["edges"])
-    ent_dir = os.path.join(out_dir, "entities")
-    ent_m = io.read_manifest(ent_dir) if resume else None
-    old_entities = io.read_table(ent_dir) if append else None
-    entities_changed = False
-    if ent_m is not None and ent_m.get("input_fingerprint") == edges_fp:
-        manifests["entities"] = ent_m  # unchanged edges: stage skipped
-    else:
-        entity_map = connected_components(
-            _edges_or_empty(io.read_table(edges_dir))
-        ).materialize()
-        if append and old_entities is not None:
-            entities_changed = _entities_changed(old_entities, entity_map)
-        manifests["entities"] = io.write_partitioned(
-            entity_map, ent_dir, "node", num_partitions,
-            stage="link+canonicalize", input_fingerprint=edges_fp,
-        )
+    # no old component changed (the entities stage checks): old
+    # canonical partitions are still valid verbatim — canonicalize ONLY
+    # the new batch and append
+    old_canon = prior.get("triples_canonical")
+    batch_only = new_triples is not None and old_canon is not None
 
-    canon_fp = f"{tr_fp}+{io.manifest_content_hash(manifests['entities'])}"
-    canon_dir = os.path.join(out_dir, "triples_canonical")
-    canon_m = io.read_manifest(canon_dir) if resume else None
-    if canon_m is not None and canon_m.get("input_fingerprint") == canon_fp:
-        manifests["triples_canonical"] = canon_m
-    elif (append and not entities_changed and canon_m is not None
-          and new_triples is not None):
-        # no old component changed: old canonical partitions are still
-        # valid verbatim — canonicalize ONLY the new batch and append
-        canon_new = canonicalize_triples(
-            new_triples, io.read_table(ent_dir),
-            num_partitions=num_partitions,
-        )
-        manifests["triples_canonical"] = io.write_partitioned(
-            canon_new, canon_dir, "doc_id", num_partitions,
-            stage="materialize", input_fingerprint=canon_fp,
-            keep_partitions={int(p) for p in canon_m.get("partitions", {})},
-            stats_cols=("doc_id",),
-            bloom_cols=("doc_id", "subject_canonical"),
-        )
-    else:
-        canon = canonicalize_triples(
-            io.read_table(triples_dir), io.read_table(ent_dir),
-            num_partitions=num_partitions,
-        )
-        manifests["triples_canonical"] = io.write_partitioned(
-            canon, canon_dir, "doc_id",
-            num_partitions, stage="materialize", input_fingerprint=canon_fp,
-            stats_cols=("doc_id",),
-            bloom_cols=("doc_id", "subject_canonical"),
-        )
+    def entities():
+        nonlocal batch_only
+        old = read("entities") if batch_only else None
+        entity_map = read(
+            "edges", lambda e: canonical.connected_components(e).materialize())
+        if old is not None and entity_map is not None:
+            batch_only = not _entities_changed(old, entity_map)
+        return entity_map
+
+    def canonicalize(triples):
+        return canonical.canonicalize_triples(
+            triples, read("entities"), num_partitions=num_partitions)
+
+    step("mentions", tr_fp, mentions)
+    step("edges", io.manifest_content_hash(manifests["mentions"]), edges)
+    step("entities", io.manifest_content_hash(manifests["edges"]), entities)
+    step("triples_canonical",
+         f"{tr_fp}+{io.manifest_content_hash(manifests['entities'])}",
+         lambda: canonicalize(new_triples) if batch_only
+         else read("triples", canonicalize),
+         keep={int(p) for p in old_canon["partitions"]} if batch_only
+         else None)
     # one atomic commit point over the three tables: a crash anywhere
     # above leaves the PREVIOUS txn's consistent view in force, so
     # io.read_txn_table readers never see a triples/entities/canonical
     # mix from different runs
-    io.commit_txn(out_dir, {
-        "triples": triples_dir,
-        "entities": ent_dir,
-        "triples_canonical": canon_dir,
-    }, note="kg_construct")
+    io.commit_txn(out_dir, {t: dirs[t] for t in (
+        "triples", "entities", "triples_canonical")}, note="kg_construct")
     return manifests
 
 
@@ -443,7 +398,7 @@ def forget_docs(out_dir: str, doc_ids, hard: bool = False) -> dict:
     from kgray import io
 
     out = {}
-    for t in ("triples", "triples_canonical"):
+    for t in (t for t, kw in _TABLES.items() if kw["key_col"] == "doc_id"):
         path = os.path.join(out_dir, t)
         if io.read_manifest(path) is None:
             continue

@@ -30,6 +30,7 @@ import pyarrow.dataset as pds
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from kgray.io import read_parquet_clean
 from kgray.ops.agg import pre_aggregate
 from kgray.ops.joins import (asof_join, broadcast_join, bucket_join,
                              salted_bucket_join, semi_join)
@@ -46,37 +47,10 @@ __all__ = [
 ]
 
 
-
 def _read(sf_dir: str, table: str, columns=None):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    # strip the pandas schema metadata the testdata parquet carries —
-    # its dict payload makes block schemas unhashable, so the read op
-    # (and every operator inheriting the schema) logs "Failed to hash
-    # the schemas".  Passing the stripped footer schema makes the read
-    # itself emit clean blocks; the footer read is one driver metadata
-    # fetch, cached per path
-    path = f"{sf_dir}/{table}.parquet"
-    key = (path, tuple(columns) if columns else None)
-    sch = _schema_cache.get(key)
-    if sch is None:
-        from kgray.io import read_parquet_clean
-
-        # directory tables (e.g. the scale10 replica tier) have no
-        # single footer — delegate to the helper's fallback
-        import os as _os
-
-        if _os.path.isdir(path):
-            return read_parquet_clean(path, columns=columns)
-        sch = pq.read_schema(path).remove_metadata()
-        if columns:  # the schema must match the PRUNED block layout
-            sch = pa.schema([sch.field(c) for c in columns])
-        _schema_cache[key] = sch
-    return rd.read_parquet(path, columns=columns, schema=sch)
-
-
-_schema_cache: dict = {}
+    """One testdata table (a parquet file, or a directory of them) with
+    its footer metadata stripped."""
+    return read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=columns)
 
 
 def _round_col(ds, col: str, digits: int):

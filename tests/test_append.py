@@ -208,3 +208,57 @@ def test_append_batch_without_new_mentions(ray_session, tmp_path):
     assert io.read_table(os.path.join(out, "triples")).count() == 2 * n0
     pd.testing.assert_frame_equal(
         _canon_df(io.read_table(os.path.join(out, "edges"))), edges0)
+
+
+TABLES = ("triples", "mentions", "edges", "entities", "triples_canonical")
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
+@pytest.mark.parametrize("case", ["empty_build", "empty_append",
+                                  "append_onto_empty"])
+def test_kg_construct_empty_inputs(ray_session, tmp_path, monkeypatch,
+                                   case, forced):
+    """A corpus or batch without documents builds: an empty build writes
+    all five tables with 0 rows, an empty append batch leaves every
+    table as it was, and an append onto an empty base gives the tables a
+    fresh build of the same docs gives."""
+    from kgray import io
+    from kgray.corpus import interleaved_dataset
+    from kgray.pipeline import kg_construct
+
+    if forced:
+        monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+
+    def rows(manifests):
+        return {t: sum(p["rows"] for p in m["partitions"].values())
+                for t, m in manifests.items()}
+
+    def table(out, name):
+        ds = io.read_table(os.path.join(out, name))
+        return None if ds is None else _canon_df(ds)
+
+    out = str(tmp_path / "kg")
+    n_base = 60 if case == "empty_append" else 0
+    base = kg_construct(interleaved_dataset(n_base, seed=42), out,
+                        num_partitions=4, input_fingerprint="base")
+    if case == "empty_build":
+        assert rows(base) == dict.fromkeys(TABLES, 0)
+        return
+    n_batch = 0 if case == "empty_append" else 60
+    before = {name: table(out, name) for name in TABLES}
+    appended = kg_construct(
+        interleaved_dataset(n_batch, seed=42, start=n_base), out,
+        num_partitions=4, input_fingerprint="batch", append=True)
+    if case == "empty_append":
+        assert rows(appended) == rows(base)
+        want = before
+    else:
+        fresh = str(tmp_path / "fresh")
+        kg_construct(interleaved_dataset(60, seed=42), fresh,
+                     num_partitions=4, input_fingerprint="fresh")
+        want = {name: table(fresh, name) for name in TABLES}
+    for name in TABLES:
+        a, b = table(out, name), want[name]
+        assert (a is None) == (b is None), name
+        if a is not None:
+            pd.testing.assert_frame_equal(a, b)

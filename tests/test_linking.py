@@ -257,7 +257,7 @@ def test_kg_construct_end_to_end(tmp_path):
     from kgray.pipeline import PipelineConfig, kg_construct
 
     docs = rd.from_arrow(interleaved_table(doc_ids_for_range(0, 60), seed=42))
-    cfg = PipelineConfig(classifier_concurrency=(1, 2), labeler_concurrency=(1, 2))
+    cfg = PipelineConfig()
     out = str(tmp_path / "kg")
     manifests = kg_construct(docs, out, cfg, num_partitions=4)
     assert set(manifests) == {"triples", "mentions", "edges",
@@ -314,7 +314,7 @@ def test_kg_construct_skips_downstream_on_unchanged_triples(tmp_path):
     from kgray.pipeline import PipelineConfig, kg_construct
 
     docs = rd.from_arrow(interleaved_table(doc_ids_for_range(0, 150), seed=42))
-    cfg = PipelineConfig(classifier_concurrency=(1, 2), labeler_concurrency=(1, 2))
+    cfg = PipelineConfig()
     out = str(tmp_path / "kg")
     m1 = kg_construct(docs, out, cfg, num_partitions=4, tau=0.5,
                       input_fingerprint="fp-lineage")

@@ -89,9 +89,7 @@ def test_labeler_emits_exact_triples_for_worked_row():
 
 
 def test_e2e_prf1_above_095():
-    cfg = PipelineConfig(
-        classifier_concurrency=(1, 2), labeler_concurrency=(1, 2)
-    )
+    cfg = PipelineConfig()
     pred = extract_triples(_docs(), cfg)
     gold = golden_triples(_sentences())
     m = spo_prf1(pred, gold)
@@ -208,9 +206,7 @@ def test_actor_pool_execution_parity(ray_session):
     docs = interleaved_dataset(60, seed=42)
     a = (
         extract_triples(
-            docs, PipelineConfig(execution="actors",
-                                 classifier_concurrency=(1, 2),
-                                 labeler_concurrency=(1, 2))
+            docs, PipelineConfig(execution="actors")
         )
         .to_pandas()
         .sort_values(["doc_id", "subject", "predicate", "object"],

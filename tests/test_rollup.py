@@ -204,3 +204,19 @@ def test_rollup_corrupt_state_falls_back_to_full(ray_session, tmp_path):
     assert info2["mode"] == "full"
     got = out2.to_pandas().sort_values("k", ignore_index=True)
     assert list(got["s"]) == [40, 60]
+
+
+def test_cli_refresh_keeps_the_callers_ray_session(ray_session, tmp_path,
+                                                   capsys):
+    """`python -m kgray refresh` run inside an existing Ray session uses
+    it and leaves it up: only a session the command started is shut
+    down."""
+    import ray
+
+    from kgray.__main__ import main
+
+    reg = tmp_path / "reg"
+    reg.mkdir()
+    assert main(["refresh", str(reg)]) == 0
+    assert json.loads(capsys.readouterr().out) == {}
+    assert ray.is_initialized()
