@@ -77,7 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             fp = (f"synthetic-{args.synthetic}-{args.seed}-"
                   f"{args.synthetic_start}")
         else:
-            docs = io.read_table(args.input)
+            docs = io.read_parquet_clean(args.input)
             fp = _path_fingerprint(args.input)
 
         t0 = time.time()

@@ -12,9 +12,10 @@ legacy produce_submit_json_file.py:6-24) with the north-rule contract:
   disk, so the manifest attests the bytes, not the intent;
 * resume = drop rows whose partition is already present and verified.
 
-Lance is preferred when the ``lance`` package is importable (north rule
-names Lance tables); this container lacks it, so parquet is the default
-and the format is abstracted behind read_table/write_table.
+The manifest is the only truth: a read, a hygiene pass and a compaction
+see exactly the files the manifest attests (``_attested_files``), never
+what a directory walk finds.  A table without a manifest, or whose
+manifest attests no file, reads as None.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-try:  # pragma: no cover - lance not shipped in this container
-    import lance  # noqa: F401
-
-    HAVE_LANCE = True
-except ImportError:
-    HAVE_LANCE = False
 
 PART_COL = "part"
 MANIFEST = "manifest.json"
@@ -277,7 +271,8 @@ def _hygiene(data_dir: str, keep_manifest: dict | None, keep: set[int],
     whole dirs for partitions being rewritten, unmanifested files (crashed
     or retried attempts) inside kept partitions.  Runs before every write
     so a resumed run can never re-append next to stale bytes (the round-1
-    silent-duplication hazard).
+    silent-duplication hazard).  A manifest entry without a ``files``
+    list attests nothing and raises KeyError before anything is deleted.
 
     ``protected`` (partition -> file basenames): bytes attested by an
     archived VERSION snapshot (time travel) — never deleted here; they
@@ -285,15 +280,12 @@ def _hygiene(data_dir: str, keep_manifest: dict | None, keep: set[int],
     if not os.path.isdir(data_dir):
         return
     protected = protected or {}
-    kept_files: dict[int, set[str] | None] = {}
+    kept_files: dict[int, set[str]] = {}
     if keep_manifest is not None:
-        for pstr, meta in keep_manifest.get("partitions", {}).items():
-            # None (not empty-set) when the entry predates the 'files'
-            # manifest format: nothing can be attested file-by-file, so
-            # file-level deletion must be skipped for that partition —
-            # deleting would lose the very data the kept entry describes.
-            files = meta.get("files")
-            kept_files[int(pstr)] = set(files) if files is not None else None
+        kept_files = {
+            int(pstr): {os.path.basename(f) for f in meta["files"]}
+            for pstr, meta in keep_manifest["partitions"].items()
+        }
     for entry in os.listdir(data_dir):
         if not entry.startswith(PART_COL + "="):
             continue
@@ -303,21 +295,10 @@ def _hygiene(data_dir: str, keep_manifest: dict | None, keep: set[int],
             continue
         pdir = os.path.join(data_dir, entry)
         prot = protected.get(p, set())
-        if p not in keep:
-            if not prot:
-                shutil.rmtree(pdir, ignore_errors=True)
-            else:
-                for f in os.listdir(pdir):
-                    if f not in prot:
-                        try:
-                            os.remove(os.path.join(pdir, f))
-                        except OSError:
-                            pass
+        if p not in keep and not prot:
+            shutil.rmtree(pdir, ignore_errors=True)
             continue
-        attested_set = kept_files.get(p, set())
-        if attested_set is None:  # pre-'files' manifest: leave bytes alone
-            continue
-        attested = {os.path.basename(f) for f in attested_set} | prot
+        attested = (kept_files.get(p, set()) if p in keep else set()) | prot
         for f in os.listdir(pdir):
             if f not in attested:
                 try:
@@ -408,7 +389,6 @@ def write_partitioned(
             e = partitions.setdefault(
                 str(int(p)), {"rows": 0, "bytes": 0, "content_hash": 0, "files": []}
             )
-            e.setdefault("files", [])
             e["rows"] = int(e["rows"]) + int(g["rows"].sum())
             e["bytes"] = int(e["bytes"]) + int(g["bytes"].sum())
             e["content_hash"] = (int(e.get("content_hash", 0)) + sum(
@@ -418,17 +398,11 @@ def write_partitioned(
                 mins = [json.loads(v) for v in g[f"zmin_{c}"]]
                 maxs = [json.loads(v) for v in g[f"zmax_{c}"]]
                 zones = e.setdefault("zones", {})
-                prev = zones.get(c)
-                lo = min(m for m in mins if m is not None) if any(
-                    m is not None for m in mins) else None
-                hi = max(m for m in maxs if m is not None) if any(
-                    m is not None for m in maxs) else None
-                if prev is not None:
-                    lo = prev[0] if lo is None else (
-                        min(prev[0], lo) if prev[0] is not None else lo)
-                    hi = prev[1] if hi is None else (
-                        max(prev[1], hi) if prev[1] is not None else hi)
-                zones[c] = [lo, hi]
+                # fold with the kept entry's range; None = all-null slice
+                prev_lo, prev_hi = zones.get(c) or (None, None)
+                lo = [v for v in [prev_lo, *mins] if v is not None]
+                hi = [v for v in [prev_hi, *maxs] if v is not None]
+                zones[c] = [min(lo, default=None), max(hi, default=None)]
             for c in bloom_cols:
                 words = np.zeros(bloom_bits // 64, np.uint64)
                 for s in g[f"bf_{c}"]:
@@ -470,8 +444,7 @@ def write_partitioned(
     # some later read.
     schema_b64s: set[str] = set()
     if old is not None:
-        schema_b64s.update(old.get("schemas")
-                           or ([old["schema"]] if old.get("schema") else []))
+        schema_b64s.update(old.get("schemas", ()))
     if len(raw):
         schema_b64s.update(raw["schema"])
     manifest = {
@@ -487,16 +460,37 @@ def write_partitioned(
             [_schema_from_b64(s) for s in sorted(schema_b64s)]
         ))
         manifest["schemas"] = sorted(schema_b64s)
+    _publish(path, manifest)
+    return manifest
+
+
+def _write_json(path: str, obj: dict) -> None:
+    """Atomic JSON write: a pid-suffixed tmp file (concurrent writers of
+    the same record never share one) renamed over ``path``."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def _publish(path: str, manifest: dict) -> None:
+    """Make ``manifest`` the table's current one under a new version."""
     # snapshot FIRST, then swap the current manifest: a crash in between
     # leaves an archived snapshot whose attested files are already on
     # disk (the write completed), never a current manifest that lacks
     # its snapshot (which would let the next write reuse its version id)
     _snapshot_version(path, manifest)
-    tmp = os.path.join(path, MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(path, MANIFEST))
-    return manifest
+    _write_json(os.path.join(path, MANIFEST), manifest)
+
+
+def _attested_files(m: dict, parts=None) -> list[str]:
+    """Sorted data-relative files manifest ``m`` attests, limited to the
+    partition keys (manifest strings) in ``parts`` when given."""
+    return sorted(
+        f for pstr, meta in m["partitions"].items()
+        if parts is None or pstr in parts
+        for f in meta["files"]
+    )
 
 
 def manifest_content_hash(manifest: dict) -> str:
@@ -543,19 +537,24 @@ def _versions_dir(path: str) -> str:
     return os.path.join(path, VERSIONS_DIR)
 
 
-def _existing_versions(path: str) -> dict[int, str]:
-    """version number -> snapshot file path, for all archived versions."""
-    d = _versions_dir(path)
+def _numbered(d: str, prefix: str) -> dict[int, str]:
+    """number -> file path of every ``<prefix>NNNNNN.json`` record in
+    directory ``d`` (archived versions, committed txns)."""
     out: dict[int, str] = {}
     if not os.path.isdir(d):
         return out
     for f in os.listdir(d):
-        if f.startswith("v") and f.endswith(".json"):
+        if f.startswith(prefix) and f.endswith(".json"):
             try:
-                out[int(f[1:-5])] = os.path.join(d, f)
+                out[int(f[len(prefix):-5])] = os.path.join(d, f)
             except ValueError:
                 continue
     return out
+
+
+def _existing_versions(path: str) -> dict[int, str]:
+    """version number -> snapshot file path, for all archived versions."""
+    return _numbered(_versions_dir(path), "v")
 
 
 def _snapshot_version(path: str, manifest: dict) -> None:
@@ -570,10 +569,7 @@ def _snapshot_version(path: str, manifest: dict) -> None:
     manifest["parent_version"] = max(vs) if vs else None
     d = _versions_dir(path)
     os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f"v{v:06d}.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(d, f"v{v:06d}.json"))
+    _write_json(os.path.join(d, f"v{v:06d}.json"), manifest)
 
 
 def read_version_manifest(path: str, version: int) -> dict:
@@ -638,17 +634,7 @@ def _txns_dir(root: str) -> str:
 
 
 def _existing_txns(root: str) -> dict[int, str]:
-    d = _txns_dir(root)
-    out: dict[int, str] = {}
-    if not os.path.isdir(d):
-        return out
-    for f in os.listdir(d):
-        if f.startswith("t") and f.endswith(".json"):
-            try:
-                out[int(f[1:-5])] = os.path.join(d, f)
-            except ValueError:
-                continue
-    return out
+    return _numbered(_txns_dir(root), "t")
 
 
 def commit_txn(root: str, tables: dict[str, str], note: str = "") -> dict:
@@ -780,10 +766,7 @@ def prune_txn_pins(root: str) -> int:
                 changed = True
                 n += 1
         if changed:
-            tmp = f"{fp}.tmp.{os.getpid()}"
-            with open(tmp, "w") as f:
-                json.dump(rec, f, indent=1, sort_keys=True)
-            os.replace(tmp, fp)
+            _write_json(fp, rec)
     return n
 
 
@@ -834,11 +817,8 @@ def delete_rows(path: str, keys, key_col: str | None = None) -> dict:
     if not targets:
         return m  # nothing to delete: no partition can hold these keys
     data_dir = os.path.join(path, "data")
-    files = [
-        os.path.join(data_dir, f)
-        for p in sorted(targets)
-        for f in m["partitions"][str(p)].get("files", ())
-    ]
+    files = [os.path.join(data_dir, f)
+             for f in _attested_files(m, {str(p) for p in targets})]
     doomed = pa.array(key_list)
 
     def drop(batch: pa.Table) -> pa.Table:
@@ -899,13 +879,13 @@ def expire_versions(path: str, keep_last: int = 1,
 
 
 def completed_partitions(path: str, input_fingerprint: str = "") -> set[int]:
-    """Partitions recorded as done for a matching input fingerprint."""
+    """Partitions recorded as done for a matching input fingerprint.  An
+    empty fingerprint names no input, so nothing is reusable under it."""
     m = read_manifest(path)
-    if m is None:
-        return set()
-    if input_fingerprint and m.get("input_fingerprint") != input_fingerprint:
-        return set()  # input changed -> nothing is reusable
-    return {int(k) for k in m.get("partitions", {})}
+    if (m is None or not input_fingerprint
+            or m.get("input_fingerprint") != input_fingerprint):
+        return set()  # input changed or unnamed -> nothing is reusable
+    return {int(k) for k in m["partitions"]}
 
 
 def filter_pending(ds, key_col: str, num_partitions: int, done: set[int]):
@@ -1003,6 +983,29 @@ def _zone_keep(m: dict | None, zone_filter: dict) -> set[str] | None:
     return keep
 
 
+def _scan(paths, columns, unified: pa.Schema,
+          per_file_schemas: list[pa.Schema], **kwargs):
+    """The one projection rule for a parquet scan whose files may have
+    evolved schemas (``unified`` is their union): no columns -> scan with
+    the unified schema (files lacking a column null-fill it); every file
+    has every requested column -> push the projection down to the files
+    (Ray derives its data-column split from the FIRST fragment, so this
+    must hold for all files, and its reader requires schema == the
+    PROJECTED batch schema); otherwise scan unified, then select."""
+    import ray.data as rd
+
+    if not columns:
+        return rd.read_parquet(paths, schema=unified, **kwargs)
+    if all(c in s.names for s in per_file_schemas for c in columns):
+        proj = pa.schema([unified.field(c) for c in columns])
+        return rd.read_parquet(paths, columns=columns, schema=proj, **kwargs)
+    # a requested column is missing from some file: file-level
+    # projection would fail on it.  Compaction conforms files to the
+    # unified schema, restoring the pushdown for later reads.
+    return rd.read_parquet(paths, schema=unified, **kwargs) \
+        .select_columns(list(columns))
+
+
 def read_table(path: str, columns: list[str] | None = None,
                zone_filter: dict | None = None,
                point_filter: dict | None = None,
@@ -1011,22 +1014,21 @@ def read_table(path: str, columns: list[str] | None = None,
     ``<path>/data``, the manifest beside it).
 
     Reads ONLY manifest-attested files — stale bytes from crashed or
-    retried write attempts on disk are invisible to readers (exactly-once
-    at the read layer).  Falls back to a directory scan for tables written
-    without a files-bearing manifest.
+    retried write attempts, and files kept on disk for older snapshots,
+    are invisible to readers (exactly-once at the read layer).  Returns
+    None when there is no manifest, or when the manifest attests no file
+    after zone/bloom pruning (an empty table).
 
     ``version``: time travel — read the files attested by that archived
     snapshot instead of the current manifest (zone pruning then uses the
     SNAPSHOT's zones).  Raises FileNotFoundError for expired/unknown
     versions."""
-    import ray.data as rd
-
-    data_dir = os.path.join(path, "data")
-    target = data_dir if os.path.isdir(data_dir) else path
     if version is not None:
         m = read_version_manifest(path, version)
     else:
         m = read_manifest(path)
+    if m is None:
+        return None
     keep = None
     if zone_filter:
         keep = _zone_keep(m, zone_filter)
@@ -1034,52 +1036,22 @@ def read_table(path: str, columns: list[str] | None = None,
         bkeep = _bloom_keep(m, point_filter)
         if bkeep is not None:
             keep = bkeep if keep is None else (keep & bkeep)
-    paths = None
-    if m is not None and m.get("partitions"):
-        files = [
-            os.path.join(data_dir, f)
-            for pstr, meta in m["partitions"].items()
-            if keep is None or pstr in keep
-            for f in meta.get("files", ())
-        ]
-        if files:
-            paths = files
-        elif keep is not None:
-            return None  # every partition zone-pruned: empty result
-    if paths is None:
-        if version is not None:
-            return None  # empty snapshot: never fall back to current bytes
-        if not any(files for _, _, files in os.walk(target)):
-            return None  # empty table (write_partitioned of an empty Dataset)
-        paths = target
+    files = _attested_files(m, keep)
+    if not files:
+        return None
     # schema evolution: scan with the manifest's unified schema so files
     # written before a column was appended null-fill it (without this,
     # the scan takes the FIRST file's schema and silently drops evolved
     # columns from the result depending on file order)
-    sch = _schema_from_b64(m["schema"]) if m and m.get("schema") else None
-    if sch is not None and columns is not None:
+    sch = _schema_from_b64(m["schema"])
+    if columns is not None:
         missing = [c for c in columns if c not in sch.names]
         if missing:
             raise KeyError(f"columns {missing} not in table schema")
-        per_file = [_schema_from_b64(s) for s in m.get("schemas", [])]
-        if per_file and all(
-            c in fs.names for fs in per_file for c in columns
-        ):
-            # every attested file physically has every requested column:
-            # the file-level projection is safe (Ray derives its
-            # data-column split from the FIRST fragment, so this must
-            # hold for all files, not just one).  Ray's reader requires
-            # schema == the PROJECTED batch schema.
-            sch = pa.schema([sch.field(c) for c in columns])
-            return rd.read_parquet(paths, columns=columns, schema=sch)
-        # evolved table: some file lacks a requested column — scan with
-        # the unified schema (old files null-fill) and project after.
-        # Compaction conforms files to the unified schema, restoring
-        # file-level projection for later reads.
-        return rd.read_parquet(paths, schema=sch) \
-            .select_columns(list(columns))
-    ds = rd.read_parquet(paths, columns=columns, schema=sch)
-    if columns is not None:  # explicit projection: honor it verbatim
+    data_dir = os.path.join(path, "data")
+    ds = _scan([os.path.join(data_dir, f) for f in files], columns, sch,
+               [_schema_from_b64(s) for s in m["schemas"]])
+    if columns:  # explicit projection: honor it verbatim
         return ds
 
     # drop the hive layout column: it is write-side metadata, and leaking
@@ -1162,35 +1134,27 @@ def compact_partitioned(path: str, target_bytes: int = 128 << 20) -> dict:
         return pstr, new_files, new_bytes
 
     hetero = len(manifest.get("schemas", [])) > 1
-    todo = [
-        (pstr, meta) for pstr, meta in manifest["partitions"].items()
-        if len(meta.get("files", [])) > 1
-        or (hetero and meta.get("files"))
-    ]
+    files = {p: _attested_files(manifest, {p})
+             for p in manifest["partitions"]}
+    todo = [p for p, fs in files.items() if len(fs) > 1 or (hetero and fs)]
     results = ray.get([
-        compact_one.remote(pstr, meta["files"], int(meta["rows"]))
-        for pstr, meta in todo
+        compact_one.remote(p, files[p], int(manifest["partitions"][p]["rows"]))
+        for p in todo
     ])
     old_files = []
     for pstr, new_files, new_bytes in results:
         meta = manifest["partitions"][pstr]
-        old_files.extend(meta["files"])
+        old_files.extend(files[pstr])
         meta["files"] = sorted(new_files)
         meta["bytes"] = int(new_bytes)
     if results and uni_b64 is not None:
         # every rewritten file now carries the unified schema; if ALL
         # partitions were rewritten the file set is homogeneous again
-        with_files = {p for p, meta in manifest["partitions"].items()
-                      if meta.get("files")}
-        if {p for p, _, _ in results} >= with_files:
+        if {p for p, _, _ in results} >= {p for p, fs in files.items() if fs}:
             manifest["schemas"] = [uni_b64]
     # compaction is content-preserving but changes the file set: archive
     # it as a new snapshot so the version chain stays read-consistent
-    _snapshot_version(path, manifest)
-    tmp = os.path.join(path, MANIFEST + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    os.replace(tmp, os.path.join(path, MANIFEST))
+    _publish(path, manifest)
     protected = _version_protected_files(path)
     for f in old_files:  # only after the manifest swap
         p_of = int(f.split("=", 1)[1].split("/", 1)[0])
@@ -1308,16 +1272,8 @@ def read_parquet_clean(path, columns: list[str] | None = None, **kwargs):
                      if f.endswith(".parquet")]
         footers = [pq.read_schema(f).remove_metadata() for f in files]
         sch = pa.unify_schemas(footers)
-        if columns:
-            proj = pa.schema([sch.field(c) for c in columns])
+        for c in columns or ():
+            sch.field(c)  # an unknown column takes the plain read below
     except Exception:
         return rd.read_parquet(path, columns=columns, **kwargs)
-    if not columns:
-        return rd.read_parquet(path, schema=sch, **kwargs)
-    if all(c in f.names for f in footers for c in columns):
-        return rd.read_parquet(path, columns=columns, schema=proj, **kwargs)
-    # a requested column is missing from some file: Ray's file-level
-    # projection would fail on it, so scan with the unified schema
-    # (null-filling) and project after
-    return rd.read_parquet(path, schema=sch, **kwargs) \
-        .select_columns(list(columns))
+    return _scan(path, columns, sch, footers, **kwargs)

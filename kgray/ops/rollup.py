@@ -41,14 +41,10 @@ _TABLE = "table"
 
 
 def _base_files(base_dir: str) -> list[str] | None:
-    from kgray.io import read_manifest
+    from kgray.io import _attested_files, read_manifest
 
     m = read_manifest(base_dir)
-    if m is None or not m.get("partitions"):
-        return None
-    return sorted(
-        f for meta in m["partitions"].values() for f in meta.get("files", ())
-    )
+    return _attested_files(m) if m and m["partitions"] else None
 
 
 def _load_state(rollup_dir: str) -> dict | None:

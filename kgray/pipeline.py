@@ -215,6 +215,12 @@ def kg_construct(
     append mode too), else written with its layout from ``_TABLES``; an
     upstream table without rows (``io.read_table``: None) writes it empty.
 
+    ``resume=True`` keeps the stored triples partitions only when
+    ``input_fingerprint`` equals the stored one; the default empty
+    fingerprint names no input, so extraction reruns over all of
+    ``docs`` (a rebuild, not an append).  Downstream stages still skip
+    by content hash either way.
+
     ``append=True`` (incremental / standing-pipeline mode): ``docs`` is
     an INCREMENTAL batch of new documents (doc_ids disjoint from prior
     runs).  Only new-batch work runs at corpus scale:

@@ -505,53 +505,55 @@ def q_word_mis(sf_dir: str):
     return luby_mis(edges, rounds=3)
 
 
+# every CTE is MATERIALIZED: the unrolled MIS rounds reference each
+# other, and DuckDB re-expands inlined CTEs at each reference
 SQL_WORD_MIS = """
-WITH toks AS (
+WITH toks AS MATERIALIZED (
   SELECT doc_id, unnest(string_split(text, ' ')) AS tok,
          generate_subscripts(string_split(text, ' '), 1) AS pos
   FROM documents),
-e AS (SELECT DISTINCT least(t1.tok, t2.tok) AS u,
+e AS MATERIALIZED (SELECT DISTINCT least(t1.tok, t2.tok) AS u,
                       greatest(t1.tok, t2.tok) AS v
       FROM toks t1 JOIN toks t2
         ON t1.doc_id = t2.doc_id AND t2.pos - t1.pos BETWEEN 1 AND 2
       WHERE t1.tok <> t2.tok),
-sym AS (SELECT u AS src, v AS dst FROM e
+sym AS MATERIALIZED (SELECT u AS src, v AS dst FROM e
         UNION ALL SELECT v AS src, u AS dst FROM e),
-h AS (SELECT DISTINCT src AS node,
+h AS MATERIALIZED (SELECT DISTINCT src AS node,
              CAST('0x' || substr(md5(src), 1, 13) AS BIGINT) AS hv
       FROM sym),
-a0 AS (SELECT node FROM h),
-s1 AS (SELECT a.node FROM a0 a JOIN h ha ON ha.node = a.node
+a0 AS MATERIALIZED (SELECT node FROM h),
+s1 AS MATERIALIZED (SELECT a.node FROM a0 a JOIN h ha ON ha.node = a.node
        WHERE NOT EXISTS (
          SELECT 1 FROM sym s JOIN a0 b ON b.node = s.dst
          JOIN h hb ON hb.node = s.dst
          WHERE s.src = a.node AND hb.hv < ha.hv)),
-rm1 AS (SELECT DISTINCT s.dst AS node
+rm1 AS MATERIALIZED (SELECT DISTINCT s.dst AS node
         FROM sym s JOIN s1 ON s1.node = s.src
         JOIN a0 a ON a.node = s.dst),
-a1 AS (SELECT node FROM a0
+a1 AS MATERIALIZED (SELECT node FROM a0
        WHERE node NOT IN (SELECT node FROM s1)
          AND node NOT IN (SELECT node FROM rm1)),
-s2 AS (SELECT a.node FROM a1 a JOIN h ha ON ha.node = a.node
+s2 AS MATERIALIZED (SELECT a.node FROM a1 a JOIN h ha ON ha.node = a.node
        WHERE NOT EXISTS (
          SELECT 1 FROM sym s JOIN a1 b ON b.node = s.dst
          JOIN h hb ON hb.node = s.dst
          WHERE s.src = a.node AND hb.hv < ha.hv)),
-rm2 AS (SELECT DISTINCT s.dst AS node
+rm2 AS MATERIALIZED (SELECT DISTINCT s.dst AS node
         FROM sym s JOIN s2 ON s2.node = s.src
         JOIN a1 a ON a.node = s.dst),
-a2 AS (SELECT node FROM a1
+a2 AS MATERIALIZED (SELECT node FROM a1
        WHERE node NOT IN (SELECT node FROM s2)
          AND node NOT IN (SELECT node FROM rm2)),
-s3 AS (SELECT a.node FROM a2 a JOIN h ha ON ha.node = a.node
+s3 AS MATERIALIZED (SELECT a.node FROM a2 a JOIN h ha ON ha.node = a.node
        WHERE NOT EXISTS (
          SELECT 1 FROM sym s JOIN a2 b ON b.node = s.dst
          JOIN h hb ON hb.node = s.dst
          WHERE s.src = a.node AND hb.hv < ha.hv)),
-rm3 AS (SELECT DISTINCT s.dst AS node
+rm3 AS MATERIALIZED (SELECT DISTINCT s.dst AS node
         FROM sym s JOIN s3 ON s3.node = s.src
         JOIN a2 a ON a.node = s.dst),
-a3 AS (SELECT node FROM a2
+a3 AS MATERIALIZED (SELECT node FROM a2
        WHERE node NOT IN (SELECT node FROM s3)
          AND node NOT IN (SELECT node FROM rm3))
 SELECT node, 'in' AS state FROM s1

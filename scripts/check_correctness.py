@@ -13,6 +13,7 @@ that proves the 100-TB code paths, not just the tiny-input shortcuts.
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import sys
 import time
@@ -29,6 +30,10 @@ if FORCED:
 
 SF_DIR = args[0] if args else "/root/testdata/sf0.01"
 ONLY = set(args[1:])
+# a query (Ray side or oracle) running this long dumps every driver
+# thread's stack to stderr, and again each further STALL_S, so a hang
+# shows where it sits instead of running silently into a timeout
+STALL_S = 600
 
 TABLES = (
     "region nation customer supplier part orders lineitem events "
@@ -82,6 +87,8 @@ def main() -> int:
     for name, fn in qs.items():
         if ONLY and name not in ONLY:
             continue
+        # re-arming resets the timer: it runs from this query's start
+        faulthandler.dump_traceback_later(STALL_S, repeat=True, exit=False)
         t0 = time.time()
         try:
             got = canon(to_pandas(fn(SF_DIR)))
@@ -148,6 +155,7 @@ def main() -> int:
             mask = diff.any(axis=1)
             print("  ray:", g[mask].head(3).to_dict("records"))
             print("  sql:", w[mask].head(3).to_dict("records"))
+    faulthandler.cancel_dump_traceback_later()
     ray.shutdown()
     print(f"\n{len(failures)} failures: {failures}")
     return 1 if failures else 0

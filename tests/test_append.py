@@ -90,6 +90,30 @@ def test_append_requires_existing_output(ray_session, tmp_path):
                      input_fingerprint="x")
 
 
+def test_rebuild_without_fingerprint_reuses_nothing(ray_session, tmp_path):
+    """A non-append build with the default (empty) input fingerprint over
+    an existing output is a rebuild: an empty fingerprint names no input,
+    so no stored triples partition counts as done, and the triples hold
+    exactly the new docs, as a fresh build of them does."""
+    from kgray import io
+    from kgray.corpus import interleaved_dataset
+    from kgray.pipeline import kg_construct
+
+    out = str(tmp_path / "kg")
+    kg_construct(interleaved_dataset(40), out)
+    kg_construct(interleaved_dataset(40, start=1000), out)
+    fresh = str(tmp_path / "fresh")
+    kg_construct(interleaved_dataset(40, start=1000), fresh)
+
+    def doc_ids(root):
+        ds = io.read_table(os.path.join(root, "triples"), columns=["doc_id"])
+        return set(ds.to_pandas()["doc_id"])
+
+    got = doc_ids(out)
+    assert got and got == doc_ids(fresh)
+    assert all(int(d.split("-")[1]) >= 1000 for d in got)
+
+
 def test_link_from_mentions_incremental_equals_full_minus_old(ray_session):
     """Paths-agree: full link over M1+N == stored(M1) union
     incremental(new_keys=N) — on a mention table with genuine new keys

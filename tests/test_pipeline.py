@@ -288,6 +288,32 @@ def test_cli_construct_and_resume(ray_session, tmp_path):
     assert second["tables"] == first["tables"]
 
 
+def test_cli_construct_from_plain_parquet_input(ray_session, tmp_path):
+    """construct --input reads a plain (unmanifested) parquet directory
+    of docs; the triples come from exactly the input's doc ids."""
+    import contextlib
+    import io as _io
+
+    import pyarrow.parquet as pq
+
+    from kgray import io
+    from kgray.__main__ import main
+    from kgray.corpus import doc_ids_for_range, interleaved_table
+
+    src = tmp_path / "docs"
+    src.mkdir()
+    ids = doc_ids_for_range(0, 30)
+    pq.write_table(interleaved_table(ids[:15], seed=3), str(src / "a.parquet"))
+    pq.write_table(interleaved_table(ids[15:], seed=3), str(src / "b.parquet"))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(_io.StringIO()):
+        rc = main(["construct", "--input", str(src), "--output", str(out),
+                   "--partitions", "2"])
+    assert rc == 0
+    triples = io.read_table(str(out / "triples"), columns=["doc_id"])
+    assert set(triples.to_pandas()["doc_id"]) == set(ids)
+
+
 def test_cli_crash_between_stages_resumes_to_identical_tables(tmp_path):
     """End-to-end resume contract: the construct driver is SIGKILLed
     after the triples manifest commits (mid link/CC), the SAME command

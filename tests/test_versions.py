@@ -38,6 +38,31 @@ def test_time_travel_across_overwrite(ray_session, tmp_path):
     assert io.read_manifest(path)["version"] == 2
 
 
+def test_rewrite_to_empty_reads_none_but_keeps_history(ray_session,
+                                                       tmp_path):
+    """A table rewritten with zero rows reads as None, not as the files
+    an earlier snapshot keeps on disk for time travel; that snapshot
+    still reads its own rows."""
+    path = str(tmp_path / "t")
+    io.write_partitioned(_ds([1, 2, 3]), path, "k", num_partitions=2)
+    m = io.write_partitioned(_ds([]), path, "k", num_partitions=2)
+    assert m["partitions"] == {}
+    assert io.read_table(path) is None
+    assert sorted(io.read_table(path, version=1).to_pandas()["x"]) == [1, 2, 3]
+
+
+def test_unmanifested_parquet_dir_reads_none(ray_session, tmp_path):
+    """Only a manifest makes a table: a directory of parquet files
+    without one reads as None through read_table."""
+    import pyarrow.parquet as pq
+
+    path = tmp_path / "plain"
+    (path / "data").mkdir(parents=True)
+    pq.write_table(pa.table({"x": [1, 2]}), str(path / "a.parquet"))
+    pq.write_table(pa.table({"x": [3]}), str(path / "data" / "b.parquet"))
+    assert io.read_table(str(path)) is None
+
+
 def test_version_reads_are_columnar_and_zone_aware(ray_session, tmp_path):
     path = str(tmp_path / "t")
     io.write_partitioned(_ds([5, 6, 7, 8]), path, "k", num_partitions=2,
