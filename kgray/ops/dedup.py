@@ -11,7 +11,9 @@ shuffles with per-batch combiners (no driver-side row loops):
   serves entity linking (kgray.ops.linking) — ``_hash_params`` ->
   ``batch_signatures`` -> ``band_keys``, emitted as (band_key, id) rows
   by ``_band_rows``; ``_candidate_pairs`` (``util.pairs_within_groups``
-  + dedup) makes the in-bucket pairs and ``_verify_jaccard`` is the one
+  + dedup) makes the in-bucket pairs — for append-mode linking it
+  enumerates only the pairs touching a first-seen key (``anchors``),
+  it never filters a full pair set — and ``_verify_jaccard`` is the one
   exact-Jaccard verify, parameterized by the shingle function (word
   3-grams of a document here, char 2-grams of a mention name there);
   ``_minhash_verify`` is the bucket kernel of both small-side plans;
@@ -477,11 +479,13 @@ def _band_rows(ids, shingle_sets: list, params: np.ndarray, bands: int,
 
 
 def _candidate_pairs(band_rows: pd.DataFrame, id_col: str, max_block: int,
-                     dtype: str = "int64") -> pd.DataFrame:
+                     dtype: str = "int64", anchors=None) -> pd.DataFrame:
     """Distinct (u < v) id pairs that share a band bucket of (band_key,
-    ``id_col``) rows; buckets over ``max_block`` ids are skipped."""
+    ``id_col``) rows; buckets over ``max_block`` ids are skipped.  With
+    ``anchors`` (a set of ids) only pairs with an endpoint in the set are
+    enumerated (``util.pairs_within_groups``), never filtered after."""
     pairs = util.pairs_within_groups(band_rows, "band_key", id_col,
-                                     max_block, dtype=dtype)
+                                     max_block, dtype=dtype, anchors=anchors)
     return pairs.drop_duplicates(ignore_index=True) if len(pairs) else pairs
 
 

@@ -18,8 +18,9 @@ near-dup machinery; this follows the standard MinHash-LSH construction
 The MinHash scheme itself — hash params, signatures, band rows,
 candidate pairs and the exact-Jaccard verify — is the one in
 kgray.ops.dedup that document near-dup runs; linking adds the mention
-shingles (char 2-grams of the name), the same-type gate and the
-append-mode ``only_involving`` filter.
+shingles (char 2-grams of the name), the same-type gate and, in append
+mode, ``only_involving``: the first-seen keys whose pairs are the only
+ones enumerated.
 
 All stages are map_batches + one groupby per hop; pair verification runs
 where the block lives (map_groups), never on the driver.
@@ -223,14 +224,12 @@ def _bucket_verify_df(df: pd.DataFrame, tau: float,
     single call), so the two can never drift semantically.
 
     ``only_involving``: when set (append-mode incremental linking), only
-    pairs with >= 1 endpoint in the set are verified — old-old pairs are
-    already persisted by the previous run and the Jaccard work (the
-    expensive part) is skipped for them."""
-    pairs = _candidate_pairs(df, "mention_key", max_block, dtype="string")
-    if only_involving is not None and len(pairs):
-        keep = pairs["u"].isin(only_involving) | pairs["v"].isin(
-            only_involving)
-        pairs = pairs[keep]
+    pairs with >= 1 endpoint in the set are enumerated (the set is
+    ``_candidate_pairs``' ``anchors``) — old-old pairs are already
+    persisted by the previous run, so they are neither generated nor
+    verified."""
+    pairs = _candidate_pairs(df, "mention_key", max_block, dtype="string",
+                             anchors=only_involving)
     # schema-constrained: same entity type only
     def etype(col):
         return col.str.split(_SEP, n=1).str[0]
@@ -293,9 +292,11 @@ def link_from_mentions(
     not corpus scale); ``new_keys`` is the set of mention keys first seen
     in the appended batch (batch scale — it broadcasts).  Band rows are
     emitted for every mention (a mention-scale map, no pair work), but
-    pair generation + Jaccard verify inside each band bucket keeps only
-    pairs touching a new key: old-old edges are already persisted by the
-    previous run and are UNIONED by the caller, never recomputed.
+    inside each band bucket pairs are enumerated only from the new keys
+    (each new key against its bucket's other members), so pair
+    generation and Jaccard verify scale with the batch: old-old edges
+    are already persisted by the previous run and are UNIONED by the
+    caller, never regenerated.
 
     Auto-gated like connected_components: at or under
     ``MAX_DRIVER_MENTIONS`` mention rows the whole LSH+verify runs as one

@@ -88,11 +88,17 @@ def extract_triples(docs, cfg: PipelineConfig | None = None):
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     pool = (1, max(2, cpus))  # each actor pool spans (1, cluster CPUs)
+    # the two pools' minimum actors must leave a CPU to the read and map
+    # tasks that feed them: at 2 CPUs two 1-CPU actors held every CPU and
+    # the read never ran (no progress), so an actor asks for at most half
+    # of what that CPU leaves
+    actor_cpus = min(1.0, (cpus - 1) / 2)
     ds = flatten_documents(docs)
     ds = ds.map_batches(
         cfg.classifier_cls,
         batch_format="pyarrow",
         concurrency=pool,
+        num_cpus=actor_cpus,
     )
     ds = ds.map_batches(
         lambda b: fanout(
@@ -104,6 +110,7 @@ def extract_triples(docs, cfg: PipelineConfig | None = None):
         cfg.labeler_cls,
         batch_format="pyarrow",
         concurrency=pool,
+        num_cpus=actor_cpus,
     )
     return ds
 
@@ -229,10 +236,12 @@ def kg_construct(
       additively into the existing hash partitions (``write_partitioned``
       keeps every attested old file and merges the manifest entries);
     * the persisted ``mentions/`` table unions with the new batch's
-      partials (mention scale); linking verifies ONLY pairs touching a
-      first-seen mention key (``link_from_mentions(new_keys=...)``) and
-      unions with the persisted ``edges/`` — old-old edges are never
-      recomputed;
+      partials (mention scale); linking runs over that materialized
+      union (no re-read of ``mentions/``) and enumerates ONLY the pairs
+      touching a first-seen mention key
+      (``link_from_mentions(new_keys=...)``), so pair work scales with
+      the batch; its edges union with the persisted ``edges/`` —
+      old-old pairs are never regenerated;
     * connected components rerun over the unioned edge set (edge scale);
     * canonicalization: if NO old node's component changed (the common
       case — appends only merge components), only the new triples are
@@ -322,7 +331,8 @@ def kg_construct(
         nonlocal new_keys
         old = read("mentions") if new_triples is not None else None
         if old is None:
-            return read("triples", linking.mentions_from_triples)
+            return read("triples", lambda t: linking.mentions_from_triples(
+                t).materialize())
         new_partials = linking.mentions_from_triples(new_triples).materialize()
         # first-seen keys: batch scale (they broadcast into the verify)
         new_only = joins.semi_join(new_partials, old, on="mention_key",
@@ -340,12 +350,20 @@ def kg_construct(
         )
 
     def edges():
+        # link over the (materialized) mention table the mentions step
+        # just wrote; read it back only when lineage skipped that step
+        ments = built_ments
+        if ments is None:
+            ments = read("mentions")
+        elif not ments.count():
+            ments = None
         old = read("edges") if new_keys is not None else None
         if old is None:
-            return read("mentions", linking.link_from_mentions, tau=tau)
+            return None if ments is None else \
+                linking.link_from_mentions(ments, tau=tau)
         if new_keys:
             old = old.union(linking.link_from_mentions(
-                read("mentions"), new_keys=new_keys, tau=tau))
+                ments, new_keys=new_keys, tau=tau))
         return old.materialize()
 
     # no old component changed (the entities stage checks): old
@@ -367,7 +385,7 @@ def kg_construct(
         return canonical.canonicalize_triples(
             triples, read("entities"), num_partitions=num_partitions)
 
-    step("mentions", tr_fp, mentions)
+    built_ments = step("mentions", tr_fp, mentions)
     step("edges", io.manifest_content_hash(manifests["mentions"]), edges)
     step("entities", io.manifest_content_hash(manifests["edges"]), entities)
     step("triples_canonical",

@@ -210,40 +210,75 @@ def grouped_map(ds, key: str, fn, num_buckets: int | None = None,
 
 
 def pairs_within_groups(df, key: str, val: str, max_block: int,
-                        dtype: str = "int64", key_out: str | None = None):
+                        dtype: str = "int64", key_out: str | None = None,
+                        anchors=None):
     """All unordered pairs (u < v) of distinct ``val`` within each ``key``
     group of ``df`` — the inner kernel for LSH-block / shingle-block pair
     generation.  Groups larger than ``max_block`` are skipped (degenerate
     blocks).  Returns a DataFrame (u, v) with ``dtype`` columns; when
     ``key_out`` is set a third column carries each pair's group key (the
     wedge CENTER for per-node triangle counting).
-    Python loops only over groups with >= 2 members; members drive numpy
-    repeat, so cost tracks emitted pairs, not input rows.
+
+    ``anchors`` (a set of ``val`` values): only pairs with at least one
+    endpoint in the set are ENUMERATED — each anchor row expands against
+    the other members of its own group, an anchor-anchor pair once — so
+    cost tracks the anchors' groups, not every group (append-mode
+    linking: pairs touching a first-seen mention key).
+
+    One vectorized pass, no Python loop over groups: (key, val) codes
+    are sorted so each group is a contiguous segment with its values
+    ascending (groups in first-appearance order, as ``groupby(sort=
+    False)``), segment offsets come from ``np.diff``, and pairs expand
+    by ``np.repeat`` over those offsets; cost tracks emitted pairs.
     """
     import pandas as pd
 
     sub = df[[key, val]].drop_duplicates()
-    sizes = sub.groupby(key, sort=False)[val].transform("size")
-    sub = sub[(sizes >= 2) & (sizes <= max_block)]
-    us, vs, ks = [], [], []
-    for k, g in sub.groupby(key, sort=False):
-        members = np.sort(g[val].to_numpy())
-        n = len(members)
-        iu = np.repeat(np.arange(n), n - np.arange(n) - 1)
-        jv = np.concatenate([np.arange(i + 1, n) for i in range(n)])
-        us.append(members[iu])
-        vs.append(members[jv])
-        if key_out is not None:
-            ks.append(np.full(len(iu), k))
-    if us:
+    kc, kuniq = pd.factorize(sub[key], sort=False)
+    # values by sorted code, so position order within a segment is value
+    # order (u < v); NaN gets a code too (no -1 sentinel to mis-index)
+    vc, vuniq = pd.factorize(sub[val], sort=True, use_na_sentinel=False)
+    live = kc >= 0  # null keys form no group (groupby's dropna)
+    kc, vc = kc[live], vc[live]
+    order = np.lexsort((vc, kc))
+    kc, vc = kc[order], vc[order]
+    starts = np.flatnonzero(np.diff(kc, prepend=-1))
+    sizes = np.diff(starts, append=len(kc))
+    ok = (sizes >= 2) & (sizes <= max_block)
+    starts, sizes = starts[ok], sizes[ok]
+    # one row per member of a kept segment: its segment and position
+    seg = np.repeat(np.arange(len(starts)), sizes)
+    pos = starts[seg] + _run_offsets(sizes)
+    if anchors is None:
+        # each member pairs with the members after it in its segment
+        after = starts[seg] + sizes[seg] - 1 - pos
+        up = np.repeat(pos, after)
+        vp = up + 1 + _run_offsets(after)
+    else:
+        is_anchor = pd.Index(vuniq).isin(anchors)[vc]
+        seg, ap = seg[is_anchor[pos]], pos[is_anchor[pos]]
+        # an anchor pairs with every other member of its segment
+        # (size - 1 rows, skipping itself); anchor-anchor pairs once
+        n = sizes[seg] - 1
+        ap = np.repeat(ap, n)
+        other = np.repeat(starts[seg], n) + _run_offsets(n)
+        other += other >= ap
+        keep = ~is_anchor[other] | (other > ap)
+        ap, other = ap[keep], other[keep]
+        up, vp = np.minimum(ap, other), np.maximum(ap, other)
+        # the full kernel's row order: by (u, v) position
+        o = np.lexsort((vp, up))
+        up, vp = up[o], vp[o]
+    if len(up):
+        vals = np.asarray(vuniq)
         out = pd.DataFrame(
             {
-                "u": pd.array(np.concatenate(us), dtype=dtype),
-                "v": pd.array(np.concatenate(vs), dtype=dtype),
+                "u": pd.array(vals[vc[up]], dtype=dtype),
+                "v": pd.array(vals[vc[vp]], dtype=dtype),
             }
         )
         if key_out is not None:
-            out[key_out] = np.concatenate(ks)
+            out[key_out] = np.asarray(kuniq)[kc[up]]
         return out
     out = pd.DataFrame(
         {"u": pd.array([], dtype=dtype), "v": pd.array([], dtype=dtype)}
@@ -251,6 +286,12 @@ def pairs_within_groups(df, key: str, val: str, max_block: int,
     if key_out is not None:
         out[key_out] = np.array([], dtype=df[key].dtype)
     return out
+
+
+def _run_offsets(counts: np.ndarray) -> np.ndarray:
+    """0..c-1 for each c in ``counts``, concatenated."""
+    total = int(counts.sum())
+    return np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def rename_cols(ds, mapping: dict[str, str]):

@@ -286,3 +286,63 @@ def test_kg_construct_empty_inputs(ray_session, tmp_path, monkeypatch,
         assert (a is None) == (b is None), name
         if a is not None:
             pd.testing.assert_frame_equal(a, b)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
+def test_append_links_new_keys_over_mentions_in_memory(ray_session, tmp_path,
+                                                       monkeypatch, forced):
+    """An append batch whose first-seen mentions share band buckets with
+    old ones (each subject of 3+ chars made one char longer) adds link
+    edges; the stored edges then equal a full link over the stored
+    mentions, and the edges stage links over the mention table the
+    mentions stage returned instead of reading ``mentions/`` back."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from kgray import io
+    from kgray.corpus import doc_ids_for_range, interleave, make_sentence
+    from kgray.ops.linking import link_from_mentions
+    from kgray.pipeline import kg_construct
+    from kgray.schema import DOCUMENTS_INTERLEAVED
+
+    if forced:
+        monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
+
+    def docs(rows):
+        return rd.from_arrow(pa.Table.from_pylist(
+            [interleave(42, r) for r in rows], schema=DOCUMENTS_INTERLEAVED))
+
+    rows = [make_sentence(42, d) for d in doc_ids_for_range(0, 40)]
+    batch = []
+    for i, r in enumerate(rows[:10]):
+        text = r["text"]
+        for spo in r["spo_list"]:
+            if len(spo["subject"]) >= 3:
+                text = text.replace(spo["subject"], spo["subject"] + "甲")
+        batch.append({"doc_id": f"new-{i:04d}", "text": text})
+
+    out = str(tmp_path / "kg")
+    kg_construct(docs(rows), out, num_partitions=4, input_fingerprint="base")
+    edges0 = io.read_table(os.path.join(out, "edges"))
+    n0 = 0 if edges0 is None else edges0.count()
+
+    reads = []
+    real = io.read_table
+
+    def counting(path, *a, **k):
+        reads.append(os.path.basename(os.path.normpath(path)))
+        return real(path, *a, **k)
+
+    monkeypatch.setattr(io, "read_table", counting)
+    kg_construct(docs(batch), out, num_partitions=4, input_fingerprint="b1",
+                 append=True)
+    # the mentions stage reads the stored table once to union the batch
+    # in; the edges stage links over that union, never a second read
+    assert reads.count("mentions") == 1
+    monkeypatch.setattr(io, "read_table", real)
+
+    edges = _canon_df(io.read_table(os.path.join(out, "edges")))
+    assert len(edges) > n0
+    full = _canon_df(link_from_mentions(
+        io.read_table(os.path.join(out, "mentions"))))
+    pd.testing.assert_frame_equal(edges, full)

@@ -222,6 +222,63 @@ def test_actor_pool_execution_parity(ray_session):
     assert len(a) > 0
 
 
+def test_actor_pools_progress_at_two_cpus(ray_session, tmp_path):
+    """The actors path on a 2-CPU Ray session (a subprocess) finishes
+    within a wall bound and gives the task-mode triples of this 4-CPU
+    session: the two pools' minimum actors once held both CPUs, so the
+    read feeding the first pool never ran and the job made no
+    progress."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    import pandas as pd
+
+    from kgray.corpus import interleaved_dataset
+
+    wall_s = 150
+    out = str(tmp_path / "actors.parquet")
+    child = """
+import sys
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from kgray.corpus import interleaved_dataset
+from kgray.pipeline import PipelineConfig, extract_triples
+extract_triples(interleaved_dataset(60, seed=42),
+                PipelineConfig(execution="actors")).to_pandas() \
+    .to_parquet(sys.argv[1])
+ray.shutdown()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen([sys.executable, "-c", child, out], cwd=root,
+                            env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL,
+                            start_new_session=True)
+    t0 = time.time()
+    try:
+        code = proc.wait(timeout=wall_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise AssertionError(
+            f"actors path made no result within {wall_s} s at num_cpus=2")
+    assert code == 0, f"child exited {code} after {time.time() - t0:.0f} s"
+
+    cols = ["doc_id", "subject", "predicate", "object"]
+    got = pd.read_parquet(out).sort_values(cols, ignore_index=True)
+    want = (
+        extract_triples(interleaved_dataset(60, seed=42), PipelineConfig())
+        .to_pandas()
+        .sort_values(cols, ignore_index=True)
+    )
+    assert len(got) > 0
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_predicate_set_rates_perfect_on_corpus(ray_session):
     """G6: on the deterministic corpus the extractor predicts exactly the
     golden predicate sets, so all three rates are 1.0."""
