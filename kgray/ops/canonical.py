@@ -7,12 +7,11 @@ Components in MapReduce and Beyond", SoCC'14):
 
   label(v) <- min(label(v), min_{(u,v) in E} label(u))   per round
 
-Each round is ONE cogroup shuffle: edge rows and label rows are unioned
-under a shared (node, nbr, label) schema and grouped by node; the group
-emits the node's current min label to itself and all neighbors, and a
-Min-aggregate folds the candidates.  No Dataset.join in the loop (an
-aggregate output can carry empty zero-schema blocks that Arrow's acero
-join rejects; the union/groupby path is insensitive to them).
+Each round is ONE ``kgray.util.cogroup`` of the edge rows with the label
+rows on the node: each bucket emits its nodes' current min label to
+themselves and all neighbors, and a Min-aggregate folds the candidates.
+No Dataset.join in the loop (an aggregate output can carry empty
+zero-schema blocks that Arrow's acero join rejects).
 
 Link clusters here are alias groups (small diameter), so rounds ~ 2-3;
 ``max_rounds`` bounds the worst case at the documented O(diameter).
@@ -27,45 +26,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-# Cogroup rows carry (node, val, is_edge) with NO nulls: edge rows hold
-# val=dst, label rows hold val=label.  The node dtype flows through
-# untouched (string mention keys AND int64 doc ids both work — a
-# null-padded string schema here silently cast int ids to strings,
-# flipping min-label to LEXICOGRAPHIC and breaking every downstream
-# int-keyed join; caught by the forced-distributed gate).
-
-
-def _edge_rows(batch: pa.Table) -> pa.Table:
-    n = len(batch)
-    return pa.table(
-        {
-            "node": batch["src"],
-            "val": batch["dst"],
-            "is_edge": pa.array(np.ones(n, bool)),
-        }
-    )
-
-
-def _label_rows(batch: pa.Table) -> pa.Table:
-    n = len(batch)
-    return pa.table(
-        {
-            "node": batch["node"],
-            "val": batch["label"],
-            "is_edge": pa.array(np.zeros(n, bool)),
-        }
-    )
-
-
-def _propagate_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """One hash-bucket of nodes (all rows of a node co-located): emit
-    min(own labels, node id) to self + neighbors — per-node grouping
-    vectorized inside the bucket (kgray.util.grouped_map rationale).
-    Dtype-generic: min is numeric for int nodes, lexicographic for
-    string nodes, matching the driver union-find per dtype."""
-    is_edge = df["is_edge"].to_numpy(bool)
-    nodes = df["node"].unique()
-    lab = df.loc[~is_edge].groupby("node", sort=False)["val"].min()
+def _propagate_bucket(e: pa.Table, lab: pa.Table) -> pd.DataFrame:
+    """One hash-bucket of nodes: its (src, dst) edge rows and (node,
+    label) rows, all rows of a node co-located.  Emit min(own labels,
+    node id) to self + neighbors — per-node grouping vectorized inside
+    the bucket (kgray.util.grouped_map rationale).  Node ids keep their
+    type (string mention keys, int64 doc ids), so min is numeric for int
+    nodes and lexicographic for string nodes, matching the driver
+    union-find per dtype."""
+    src = e["src"].to_pandas()
+    lab = lab.to_pandas().groupby("node", sort=False)["label"].min()
+    nodes = src.unique()
     # min(own label, node id) WITHOUT a reindex NaN round-trip (reindex
     # with missing keys coerces int64 -> float64, losing exactness past
     # 2^53 doc ids)
@@ -74,7 +45,8 @@ def _propagate_bucket(df: pd.DataFrame) -> pd.DataFrame:
     has = pos >= 0
     lv = lab.to_numpy()
     own_np[has] = np.minimum(lv[pos[has]], nodes[has])
-    edges = df.loc[is_edge, ["node", "val"]].drop_duplicates()
+    edges = pd.DataFrame({"node": src, "val": e["dst"].to_pandas()}) \
+        .drop_duplicates()
     own_s = pd.Series(own_np, index=nodes)
     out_nodes = np.concatenate([nodes, edges["val"].to_numpy()])
     out_labels = np.concatenate(
@@ -162,7 +134,6 @@ def connected_components(edges, max_rounds: int = 10):
     if small is not None:
         return _cc_driver_unionfind(small)
     sym = _symmetric(edges_mat).materialize()
-    edge_part = sym.map_batches(_edge_rows, batch_format="pyarrow")
 
     # round 0 labels: own node id (derived from edge endpoints)
     def self_labels(batch: pa.Table) -> pa.Table:
@@ -177,27 +148,19 @@ def connected_components(edges, max_rounds: int = 10):
         ["node"], {"label": ("label", "min")},
     ).materialize()
 
-    from kgray.util import default_num_buckets, grouped_map
+    from kgray.util import cogroup
 
-    num_buckets = default_num_buckets()
     prev_fp = None
     converged = False
     budget, extended = max_rounds, False
     rounds = 0
     while rounds < budget:
         rounds += 1
-        label_part = labels.map_batches(_label_rows, batch_format="pyarrow")
-        # both union sides map over MATERIALIZED datasets, so the block
-        # count entering the cogroup is known here (the lazy union hides
-        # it from grouped_map's own auto-skip): when it is already at or
-        # under the bucket count, the coalesce repartition is one pure
-        # all-to-all barrier per round — skip it.
-        n_in = sym.num_blocks() + labels.num_blocks()
+        # both sides are materialized, so cogroup's shuffle sees their
+        # block counts and skips its tiny-block bundling when they are
+        # already at or under the bucket count
         new_labels = pre_aggregate(
-            grouped_map(
-                edge_part.union(label_part), "node", _propagate_bucket,
-                num_buckets=num_buckets, coalesce=n_in > num_buckets,
-            ),
+            cogroup(sym, labels, "src", "node", _propagate_bucket),
             ["node"], {"label": ("label", "min")},
         ).materialize()
         fp = _labels_fingerprint(new_labels)

@@ -41,6 +41,7 @@ import pyarrow.compute as pc
 from kgray import util
 from kgray.util import (
     collect_small,
+    cogroup,
     collect_table,
     empty_table,
     fits_small,
@@ -52,7 +53,7 @@ from kgray.util import (
 # Small-side gates, read at call time (KGRAY_FORCE_DISTRIBUTED collapses
 # each to 0):
 # rows of a shingle-scale fold broadcast once (set_jaccard_pairs' doc
-# counts, set_jaccard_pairs_prefix's token ranks, dup_ngram_stats' set)
+# counts, dup_ngram_stats' set)
 MAX_BROADCAST_ROWS = 50_000_000
 # estimated input bytes run as one in-process call (minhash, simhash)
 MAX_DRIVER_BYTES = 32 << 20
@@ -238,8 +239,8 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
                 name="shared")
         )
 
-    # coarse-bucket cogroup (ONE fn call per bucket, per-shingle grouping
-    # vectorized inside) — per-tiny-group map_groups overhead is 100x
+    # coarse-bucket groupby (ONE fn call per bucket, per-shingle grouping
+    # vectorized inside) — a per-tiny-group call costs 100x
     partials = grouped_map(exploded, "shingle", bucket_pairs,
                            num_buckets=num_buckets)
 
@@ -308,66 +309,30 @@ def set_jaccard_pairs(exploded, counts, n_items: int, tau: float,
 
         return grouped_map(partials, "u", fold_and_finish)
 
-    # forced/scale path: union the count rows into the cogroup itself
-    cnt_u = counts.map_batches(
-        lambda b: pa.table(
-            {"u": b["doc"], "v": pa.nulls(len(b), pa.int64()),
-             "shared": pa.nulls(len(b), pa.int64()), "nsh": b["nsh"]}
-        ),
-        batch_format="pyarrow",
-    )
-    pair_u = partials.map_batches(
-        lambda b: pa.table(
-            {"u": b["u"], "v": b["v"], "shared": b["shared"],
-             "nsh": pa.nulls(len(b), pa.int64())}
-        ),
-        batch_format="pyarrow",
-    )
+    # forced/scale path: two count-attach cogroups, on u then on v
+    def counts_of(ct: pa.Table) -> pd.Series:
+        return pd.Series(ct["nsh"].to_numpy(zero_copy_only=False),
+                         index=ct["doc"].to_numpy(zero_copy_only=False))
 
-    def fold_attach_u(df: pd.DataFrame) -> pd.DataFrame:
-        cnt = df[df["nsh"].notna()]
-        nsh = pd.Series(cnt["nsh"].to_numpy(np.int64),
-                        index=cnt["u"].to_numpy(np.int64))
-        pr = df[df["nsh"].isna()]
-        if not len(pr):
-            return empty_table(v=pa.int64(), u=pa.int64(), shared=pa.int64(),
+    def fold_attach_u(pt: pa.Table, ct: pa.Table) -> pd.DataFrame:
+        if not pt.num_rows:
+            return empty_table(u=pa.int64(), v=pa.int64(), shared=pa.int64(),
                                nsh_u=pa.int64())
-        g = pr.groupby(["u", "v"], sort=False)["shared"].sum().reset_index()
-        g["shared"] = g["shared"].astype(np.int64)
-        g["nsh_u"] = nsh.reindex(g["u"].to_numpy(np.int64)).to_numpy(
-            np.int64)
-        g["v"] = g["v"].astype(np.int64)
-        return g[["v", "u", "shared", "nsh_u"]]
+        g = pt.to_pandas().groupby(["u", "v"], sort=False)["shared"].sum() \
+            .reset_index()
+        g["nsh_u"] = counts_of(ct).reindex(g["u"].to_numpy()).to_numpy()
+        return g
 
-    stage_u = grouped_map(pair_u.union(cnt_u), "u", fold_attach_u)
-
-    cnt_v = counts.map_batches(
-        lambda b: pa.table(
-            {"v": b["doc"], "u": pa.nulls(len(b), pa.int64()),
-             "shared": pa.nulls(len(b), pa.int64()),
-             "nsh_u": pa.nulls(len(b), pa.int64()), "nsh": b["nsh"]}
-        ),
-        batch_format="pyarrow",
-    )
-    stage_u2 = stage_u.map_batches(
-        lambda b: b.append_column("nsh", pa.nulls(len(b), pa.int64())),
-        batch_format="pyarrow",
-    )
-
-    def attach_v_finish(df: pd.DataFrame) -> pd.DataFrame:
-        cnt = df[df["nsh"].notna()]
-        nsh = pd.Series(cnt["nsh"].to_numpy(np.int64),
-                        index=cnt["v"].to_numpy(np.int64))
-        pr = df[df["nsh"].isna()].copy()
-        if not len(pr):
+    def attach_v_finish(pt: pa.Table, ct: pa.Table) -> pd.DataFrame:
+        if not pt.num_rows:
             return empty_table(u=pa.int64(), v=pa.int64(),
                                **{val: pa.float64()})
-        pr["nsh_v"] = nsh.reindex(pr["v"].to_numpy(np.int64)).to_numpy(
-            np.int64)
-        pr["u"] = pr["u"].astype(np.int64)
-        return _jac_finish(pr)
+        g = pt.to_pandas()
+        g["nsh_v"] = counts_of(ct).reindex(g["v"].to_numpy()).to_numpy()
+        return _jac_finish(g)
 
-    return grouped_map(stage_u2.union(cnt_v), "v", attach_v_finish)
+    stage_u = cogroup(partials, counts, "u", "doc", fold_attach_u)
+    return cogroup(stage_u, counts, "v", "doc", attach_v_finish)
 
 
 # ---------------------------------------------------------------------------
@@ -1313,12 +1278,11 @@ def dup_span_purge(docs, window: int = 40, text_col: str = "text",
     rule — keep-one needs a global doc ordering, which a streaming
     engine should not impose silently).
 
-    Distribution: (doc, window, position) rows cogroup ONCE on the
+    Distribution: (doc, window, position) rows group ONCE on the
     window key to mark duplicated positions; surviving (doc, position)
-    rows then cogroup with the doc texts on doc_id (texts are tagged
-    into the same stream, so it is ONE shuffle, not a join), and the
-    cut itself is a numpy diff-array coverage mask + utf-32 compress
-    per doc.  At 100 TB the window column would ship as a uint64
+    rows then ``cogroup`` with the docs on doc_id (ONE shuffle, not a
+    join plus a regroup), and the cut itself is a numpy diff-array
+    coverage mask + utf-32 compress per doc.  At 100 TB the window column would ship as a uint64
     rolling hash exactly like ``dup_span_stats(use_hash=True)``; the
     string form here is what the substr SQL oracle can check."""
     def emit(batch: pa.Table) -> pa.Table:
@@ -1354,33 +1318,23 @@ def dup_span_purge(docs, window: int = 40, text_col: str = "text",
             {
                 "doc_id": dup["doc_id"].to_numpy(np.int64),
                 "i": dup["i"].to_numpy(np.int64),
-                "t": np.full(len(dup), "", dtype=object),
             }
         )
 
     dup_pos = grouped_map(wins, "w", mark)
 
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": pc.cast(batch[id_col], pa.int64()),
-                "i": pa.array(np.full(len(batch), -1, np.int64)),
-                "t": pc.cast(batch[text_col], pa.string()),
-            }
-        )
-
-    both = docs.map_batches(tag_docs, batch_format="pyarrow").union(dup_pos)
-
-    def cut(df):
+    def cut(dt: pa.Table, pt: pa.Table):
         import pandas as pd
 
-        texts = df[df["i"] < 0]
-        pos = df[df["i"] >= 0]
-        starts_of = dict(iter(pos.groupby("doc_id", sort=False)["i"])) \
-            if len(pos) else {}
+        if not dt.num_rows:
+            return empty_table(doc_id=pa.int64(), clean_text=pa.string(),
+                               n_removed=pa.int64())
+        starts_of = dict(iter(
+            pt.to_pandas().groupby("doc_id", sort=False)["i"])) \
+            if pt.num_rows else {}
         ids, cleans, removed = [], [], []
-        for did, t in zip(texts["doc_id"].to_numpy(np.int64),
-                          texts["t"].tolist()):
+        for did, t in zip(pc.cast(dt[id_col], pa.int64()).to_pylist(),
+                          dt[text_col].to_pylist()):
             t = t or ""
             s = starts_of.get(did)
             if s is None or not len(t):
@@ -1403,8 +1357,9 @@ def dup_span_purge(docs, window: int = 40, text_col: str = "text",
             }
         )
 
-    return _typed(grouped_map(both, "doc_id", cut), doc_id=pa.int64(),
-                  clean_text=pa.string(), n_removed=pa.int64())
+    return _typed(cogroup(docs, dup_pos, id_col, "doc_id", cut),
+                  doc_id=pa.int64(), clean_text=pa.string(),
+                  n_removed=pa.int64())
 
 
 def minhash_cross_pairs(left, right, tau: float = 0.7,
@@ -1452,153 +1407,3 @@ def minhash_cross_pairs(left, right, tau: float = 0.7,
         ),
         u=pa.int64(), v=pa.int64(), jac=pa.float64(),
     )
-
-
-def set_jaccard_pairs_prefix(exploded, tau: float, digits: int = 4,
-                             num_buckets: int = 16):
-    """PPJoin-style prefix-filtered exact set-similarity self-join — the
-    alternative scale path to ``set_jaccard_pairs``, after Vernica,
-    Carey & Li, "Efficient Parallel Set-Similarity Joins Using
-    MapReduce" (SIGMOD 2010; public method).
-
-    Why it scales differently: the inverted-index path explodes EVERY
-    (token, item) row and pays a pair-count shuffle; this path indexes
-    only each item's PREFIX — its ``L - floor(tau*L) + 1`` globally
-    RAREST tokens (any J >= tau pair must share a prefix token) — with
-    the item's full sorted token-rank array carried on the posting, so
-    the verify happens INSIDE the token reducer from the carried arrays
-    (no count-attach stage, no max_block cap needed for hot tokens:
-    hot tokens land at the back of the frequency order and rarely enter
-    a prefix).  Posting volume ~~ (1-tau) of the full explode.
-
-    Each surviving pair is emitted at exactly ONE token — the lowest-
-    rank token common to both prefixes — so no cross-bucket dedup pass
-    is needed.  Token frequency ranks are a vocab-scale fold broadcast
-    once (``MAX_BROADCAST_ROWS`` gate; the fit_bigram_lm memory
-    argument).  Output (u, v, jac) is identical to set_jaccard_pairs
-    (paths-agree tests pin it)."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    def tok_partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(["shingle"])
-            .group_by("shingle")
-            .aggregate([("shingle", "count")])
-        )
-        return g.rename_columns(["shingle", "n"])
-
-    freq_ds = (
-        exploded.map_batches(tok_partial, batch_format="pyarrow")
-        .groupby("shingle")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()
-    )
-    freq_tbl = collect_small(freq_ds, max_rows=MAX_BROADCAST_ROWS)
-    if freq_tbl is None:
-        # vocab too large to broadcast the rank order — auto-fall back
-        # to the inverted-index path, which needs no global token order
-        # (counts/n_items derived here; exploded may carry duplicate
-        # (doc, shingle) rows, so distinct-count per doc inside a
-        # doc-keyed cogroup — every doc lives whole in one bucket)
-        exploded = exploded.materialize()
-
-        def doc_counts(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("doc", sort=False)["shingle"].nunique()
-            return pd.DataFrame({
-                "doc": g.index.to_numpy(),
-                "nsh": g.to_numpy().astype(np.int64),
-            })
-
-        counts = grouped_map(exploded, "doc", doc_counts).materialize()
-        return set_jaccard_pairs(
-            exploded, counts, n_items=counts.count(), tau=tau,
-            digits=digits, num_buckets=num_buckets)
-    if not freq_tbl.num_rows:  # no tokens, so no pairs
-        return ray.data.from_arrow(
-            empty_table(u=pa.int64(), v=pa.int64(), jac=pa.float64()))
-    freq = freq_tbl.to_pandas()  # token-vocab scale, never corpus scale
-    # rare-first total order; ties broken on the token value
-    freq = freq.sort_values(["n", "shingle"], kind="mergesort")
-    rank_of = pd.Series(np.arange(len(freq), dtype=np.int64),
-                        index=freq["shingle"].to_numpy())
-    rank_ref = ray.put(rank_of)
-
-    def to_ranks(df: pd.DataFrame) -> pd.DataFrame:
-        ranks = ray.get(rank_ref)
-        r = ranks.reindex(df["shingle"].to_numpy()).to_numpy(np.int64)
-        items, arrays = [], []
-        for doc, g in pd.DataFrame(
-            {"doc": df["doc"].to_numpy(), "r": r}
-        ).groupby("doc", sort=False):
-            items.append(doc)
-            arrays.append(np.sort(pd.unique(g["r"].to_numpy())))
-        return pd.DataFrame({"doc": pd.array(items, dtype="int64"),
-                             "ranks": arrays})
-
-    items = grouped_map(exploded, "doc", to_ranks)
-
-    def prefix_explode(batch: pa.Table) -> pa.Table:
-        docs = batch["doc"].to_numpy(zero_copy_only=False)
-        rank_lists = batch["ranks"].to_pylist()
-        out_t, out_d, out_r = [], [], []
-        for d, ra in zip(docs, rank_lists):
-            L = len(ra)
-            if L == 0:
-                continue
-            pfx = L - int(tau * L) + 1
-            for t in ra[:pfx]:
-                out_t.append(t)
-                out_d.append(d)
-                out_r.append(ra)
-        return pa.table(
-            {
-                "tok": pa.array(out_t, pa.int64()),
-                "doc": pa.array(out_d, pa.int64()),
-                "ranks": pa.array(out_r, pa.list_(pa.int64())),
-            }
-        )
-
-    postings = items.map_batches(prefix_explode, batch_format="pyarrow")
-
-    def verify_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        us, vs, js = [], [], []
-        for tok, g in df.groupby("tok", sort=False):
-            docs = g["doc"].to_numpy(np.int64)
-            arrs = [np.asarray(a, np.int64) for a in g["ranks"]]
-            n = len(docs)
-            for i in range(n):
-                ra = arrs[i]
-                for j in range(i + 1, n):
-                    if docs[i] == docs[j]:
-                        continue
-                    rb = arrs[j]
-                    common = np.intersect1d(ra, rb, assume_unique=True)
-                    la, lb = len(ra), len(rb)
-                    # lowest-rank token common to BOTH prefixes decides
-                    # which bucket owns the pair (exactly-once emission);
-                    # prefix end index = pfx-1 = L - floor(tau*L), capped
-                    bound_a = ra[min(la - int(tau * la), la - 1)]
-                    bound_b = rb[min(lb - int(tau * lb), lb - 1)]
-                    inpfx = common[(common <= bound_a)
-                                   & (common <= bound_b)]
-                    if not len(inpfx) or inpfx[0] != tok:
-                        continue
-                    sh = len(common)
-                    jac = sh / (la + lb - sh)
-                    if jac >= tau:
-                        u, v = sorted((int(docs[i]), int(docs[j])))
-                        us.append(u)
-                        vs.append(v)
-                        js.append(jac)
-        return pd.DataFrame(
-            {
-                "u": pd.array(us, dtype="int64"),
-                "v": pd.array(vs, dtype="int64"),
-                "jac": pd.array(round_half_up(np.asarray(js, np.float64),
-                                              digits), dtype="float64"),
-            }
-        )
-
-    return grouped_map(postings, "tok", verify_bucket,
-                       num_buckets=num_buckets)

@@ -11,11 +11,11 @@ calc_pr.py:164-224 as a Ray Data aggregation instead of driver dicts:
   matter how many alias combinations hit;
 * micro P/R/F1 from global sums (calc_pr.py:198-214).
 
-Dataflow (no alias): normalize both sides -> union with side flags -> one
-``groupby(key).aggregate(Max(flag))`` shuffle -> per-batch partial sums ->
-``ds.sum``.  With alias: expanded predicted keys carry an origin key and a
-second tiny aggregate collapses them ("matched under any form").  No
-driver-side row loops; only three scalars materialize.
+Dataflow (no alias): normalize both sides -> one ``cogroup`` on doc_id,
+per-bucket set counts -> ``ds.sum``.  With alias: expanded predicted keys
+carry an origin key and a second tiny aggregate collapses them ("matched
+under any form").  No driver-side row loops; only three scalars
+materialize.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from kgray.ops.tagging import normalize_entity
 
@@ -77,18 +78,19 @@ def _key_of(df: pd.DataFrame) -> pd.Series:
     return df["doc_id"] + _SEP + df["s"] + _SEP + df["p"] + _SEP + df["o"]
 
 
-def _flag_batch(batch: pa.Table, flag: str) -> pa.Table:
+def _key_batch(batch: pa.Table) -> pa.Table:
     df = _norm_frame(batch)
-    key = _key_of(df)
-    n = len(df)
     return pa.table(
         {
             "doc_id": pa.array(df["doc_id"], pa.string()),
-            "key": pa.array(key, pa.string()),
-            "is_pred": pa.array(np.full(n, 1 if flag == "is_pred" else 0, np.int8)),
-            "is_gold": pa.array(np.full(n, 1 if flag == "is_gold" else 0, np.int8)),
+            "key": pa.array(_key_of(df), pa.string()),
         }
     )
+
+
+def _in_docs(p: pa.Table, g: pa.Table):
+    """Mask of ``p``'s rows whose doc_id has a row in ``g``."""
+    return pc.is_in(p["doc_id"], value_set=g["doc_id"].combine_chunks())
 
 
 def spo_prf1(pred_ds, gold_ds, alias: dict[str, list[str]] | None = None,
@@ -102,36 +104,30 @@ def spo_prf1(pred_ds, gold_ds, alias: dict[str, list[str]] | None = None,
     set are ignored entirely — they count toward neither tp nor pred_n.
     One doc-bucketed cogroup shuffle; only three scalars materialize.
     """
-    from kgray.util import grouped_map
+    from kgray.util import cogroup
 
     if alias or loc:
         return _spo_prf1_alias(pred_ds, gold_ds, alias or {}, loc)
 
-    pred_keys = pred_ds.map_batches(
-        lambda b: _flag_batch(b, "is_pred"), batch_format="pyarrow"
-    )
-    gold_keys = gold_ds.map_batches(
-        lambda b: _flag_batch(b, "is_gold"), batch_format="pyarrow"
-    )
-
-    def count_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # restrict to docs that exist in gold (reference semantics)
-        doc_has_gold = df.groupby("doc_id", sort=False)["is_gold"].transform("max") > 0
-        d = df[doc_has_gold]
-        g = d.groupby("key", sort=False).agg(
-            pred=("is_pred", "max"), gold=("is_gold", "max")
-        )
-        hit = (g["pred"] > 0) & (g["gold"] > 0)
+    def count_bucket(p: pa.Table, g: pa.Table) -> pd.DataFrame:
+        gold = pred = pd.Index([])
+        if g.num_rows:
+            gold = pd.Index(g["key"].to_pandas()).unique()
+            # restrict to docs that exist in gold (reference semantics)
+            pred = pd.Index(p.filter(_in_docs(p, g))["key"].to_pandas()) \
+                .unique() if p.num_rows else pred
         return pd.DataFrame(
             {
-                "tp": [int(hit.sum())],
-                "pred_n": [int((g["pred"] > 0).sum())],
-                "gold_n": [int((g["gold"] > 0).sum())],
+                "tp": [int(pred.isin(gold).sum())],
+                "pred_n": [len(pred)],
+                "gold_n": [len(gold)],
             }
         )
 
-    sums = grouped_map(
-        pred_keys.union(gold_keys), "doc_id", count_bucket
+    sums = cogroup(
+        pred_ds.map_batches(_key_batch, batch_format="pyarrow"),
+        gold_ds.map_batches(_key_batch, batch_format="pyarrow"),
+        "doc_id", "doc_id", count_bucket,
     ).sum(["tp", "pred_n", "gold_n"])
     return PRF1(
         tp=sums["sum(tp)"] or 0,
@@ -148,37 +144,30 @@ def predicate_set_rates(pred_ds, gold_ds) -> pa.Table:
     One coarse-bucket cogroup on doc_id (sets built vectorized inside),
     then partial sums -> four scalars.
     """
-    import pyarrow.compute as pc
+    from kgray.util import cogroup
 
-    from kgray.util import grouped_map
+    def side_rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "doc_id": pc.cast(batch["doc_id"], pa.string()),
+                "p": batch["predicate"],
+            }
+        )
 
-    def side_rows(flag: str):
-        def apply(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            return pa.table(
-                {
-                    "doc_id": pc.cast(batch["doc_id"], pa.string()),
-                    "p": batch["predicate"],
-                    "is_pred": pa.array(
-                        np.full(n, 1 if flag == "pred" else 0, np.int8)
-                    ),
-                }
+    def sets_of(t: pa.Table) -> pd.Series:
+        if not t.num_rows:
+            return pd.Series([], dtype=object)
+        return t.to_pandas().groupby("doc_id", sort=False)["p"].agg(set)
+
+    def compare(p: pa.Table, g: pa.Table) -> pd.DataFrame:
+        pred, gold = sets_of(p), sets_of(g)
+        rows = [
+            (1, int(a == b), int(a <= b), int(a >= b))
+            for a, b in (
+                (pred.get(d, set()), gold.get(d, set()))
+                for d in pred.index.union(gold.index, sort=False)
             )
-
-        return apply
-
-    both = pred_ds.map_batches(side_rows("pred"), batch_format="pyarrow").union(
-        gold_ds.map_batches(side_rows("gold"), batch_format="pyarrow")
-    )
-
-    def compare(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for doc, g in df.groupby("doc_id", sort=False):
-            pred = set(g.loc[g["is_pred"] > 0, "p"])
-            gold = set(g.loc[g["is_pred"] == 0, "p"])
-            rows.append(
-                (1, int(pred == gold), int(pred <= gold), int(pred >= gold))
-            )
+        ]
         out = np.asarray(rows, np.int64) if rows else np.zeros((0, 4), np.int64)
         return pd.DataFrame(
             {
@@ -187,9 +176,11 @@ def predicate_set_rates(pred_ds, gold_ds) -> pa.Table:
             }
         )
 
-    sums = grouped_map(both, "doc_id", compare).sum(
-        ["n_docs", "exact", "subset", "superset"]
-    )
+    sums = cogroup(
+        pred_ds.map_batches(side_rows, batch_format="pyarrow"),
+        gold_ds.map_batches(side_rows, batch_format="pyarrow"),
+        "doc_id", "doc_id", compare,
+    ).sum(["n_docs", "exact", "subset", "superset"])
     n = sums["sum(n_docs)"] or 0
     return pa.table(
         {
@@ -320,13 +311,11 @@ def _spo_prf1_alias(pred_ds, gold_ds, alias: dict[str, list[str]],
                     # the unexpanded form: the ONLY one the loc branch may
                     # match (calc_pr.py:155-161 compares the raw s and o)
                     orig.append(1 if (s == t.s and o == t.o) else 0)
-        n = len(keys)
         return pa.table(
             {
                 "doc_id": pa.array(docs, pa.string()),
                 "key": pa.array(keys, pa.string()),
                 "okey": pa.array(okeys, pa.string()),
-                "is_gold": pa.array(np.zeros(n, np.int8)),
                 "is_orig": pa.array(np.asarray(orig, np.int8)),
             }
         )
@@ -337,40 +326,39 @@ def _spo_prf1_alias(pred_ds, gold_ds, alias: dict[str, list[str]],
         key = _key_of(df)
         docs = list(df["doc_id"])
         keys = list(key)
-        orig = [1] * len(keys)
         gold_kind = [1] * len(keys)  # 1 = real golden key
         if lmap:
             for t in df.itertuples(index=False):
                 for g_o in lmap.get(t.o, ()):
                     docs.append(t.doc_id)
                     keys.append(f"{t.doc_id}{_SEP}{t.s}{_SEP}{t.p}{_SEP}{g_o}")
-                    orig.append(0)  # excluded from gold_n
                     gold_kind.append(2)  # 2 = loc-expanded: matches only
-                    #     the RAW predicted form (no alias composition)
-        n = len(keys)
+                    #     the RAW predicted form (no alias composition), and
+                    #     does not count toward gold_n
         return pa.table(
             {
                 "doc_id": pa.array(docs, pa.string()),
                 "key": pa.array(keys, pa.string()),
-                "okey": pa.array([""] * n, pa.string()),
                 "is_gold": pa.array(np.asarray(gold_kind, np.int8)),
-                "is_orig": pa.array(np.asarray(orig, np.int8)),
             }
         )
 
     pred_keys = pred_ds.map_batches(expand, batch_format="pyarrow")
     gold_keys = gold_ds.map_batches(gold_rows, batch_format="pyarrow")
 
-    def match_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def match_bucket(p: pa.Table, g: pa.Table) -> pd.DataFrame:
         """All docs of one hash bucket at once: hit = key has a gold row.
         Bucketing is by doc_id (keys are doc-prefixed, so a doc's pred and
         gold keys colocate); predictions for docs absent from gold are
         dropped up front, matching calc_pr.py:199-207."""
-        doc_has_gold = df.groupby("doc_id", sort=False)["is_gold"].transform("max") > 0
-        df = df[doc_has_gold]
-        full_keys = df.loc[df["is_gold"] == 1, "key"].unique()
-        loc_keys = df.loc[df["is_gold"] == 2, "key"].unique()
-        preds = df.loc[df["okey"] != "", ["key", "okey", "is_orig"]].drop_duplicates()
+        if not p.num_rows or not g.num_rows:
+            return pd.DataFrame({"okey": pd.array([], dtype="string"),
+                                 "hit": pd.array([], dtype="int8")})
+        gd = g.to_pandas()
+        full_keys = gd.loc[gd["is_gold"] == 1, "key"].unique()
+        loc_keys = gd.loc[gd["is_gold"] == 2, "key"].unique()
+        preds = p.filter(_in_docs(p, g)).to_pandas()[
+            ["key", "okey", "is_orig"]].drop_duplicates()
         full_hit = preds["key"].isin(full_keys).to_numpy()
         loc_hit = preds["key"].isin(loc_keys).to_numpy() & (
             preds["is_orig"].to_numpy() == 1
@@ -383,17 +371,17 @@ def _spo_prf1_alias(pred_ds, gold_ds, alias: dict[str, list[str]],
             }
         )
 
-    from kgray.util import grouped_map
+    from kgray.util import cogroup
 
     matched = (
-        grouped_map(pred_keys.union(gold_keys), "doc_id", match_bucket)
+        cogroup(pred_keys, gold_keys, "doc_id", "doc_id", match_bucket)
         .groupby("okey")
         .aggregate(Max("hit", alias_name="hit"))
     )
     tp = int(matched.sum("hit") or 0)
     pred_n = matched.count()
     orig_gold = gold_keys.map_batches(
-        lambda b: b.filter(pa.compute.equal(b["is_orig"], 1)),
+        lambda b: b.filter(pc.equal(b["is_gold"], 1)),
         batch_format="pyarrow",
     )
     gold_n = orig_gold.groupby("key").aggregate(Max("is_gold", alias_name="g")).count()

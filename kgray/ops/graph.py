@@ -888,7 +888,7 @@ def _closed_wedges(edges, u_col: str, v_col: str, max_degree: int):
     the worst case — and stage 2 (pair cogroup) closes them against the
     canonical (u < v) edges, giving per-bucket partial counts (a node
     may have several rows)."""
-    from kgray.util import grouped_map, pairs_within_groups
+    from kgray.util import cogroup, grouped_map, pairs_within_groups
 
     edges = edges.materialize()
     small = _small_graph(edges, u_col, v_col)
@@ -901,47 +901,36 @@ def _closed_wedges(edges, u_col: str, v_col: str, max_degree: int):
     sym = _symmetric(edges, u_col, v_col)
 
     def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        out = pairs_within_groups(
+        return pairs_within_groups(
             df.rename(columns={"src": "center", "dst": "nbr"}),
             "center", "nbr", max_block=max_degree,
             dtype=df["dst"].dtype.name if df["dst"].dtype.kind in "iu"
             else "object",
             key_out="center",
         )
-        out["is_edge"] = pd.array(np.zeros(len(out), np.int8), dtype="int8")
-        return out
-
-    wedge_rows = grouped_map(sym, "src", wedges)
 
     def canon(batch: pa.Table) -> pa.Table:
         u, v = batch[u_col], batch[v_col]
-        return pa.table(
-            {
-                "u": pc.min_element_wise(u, v),
-                "v": pc.max_element_wise(u, v),
-                "center": pc.min_element_wise(u, v),  # unused on edge rows
-                "is_edge": pa.array(np.ones(len(batch), np.int8)),
-            }
-        )
+        return pa.table({"u": pc.min_element_wise(u, v),
+                         "v": pc.max_element_wise(u, v)})
 
-    edge_rows = edges.map_batches(canon, batch_format="pyarrow")
-
-    def close(df: pd.DataFrame) -> pd.DataFrame:
-        w = df[df["is_edge"] == 0]
-        e = df[df["is_edge"] == 1]
-        if not len(w) or not len(e):
-            return pd.DataFrame(
-                {"node": pd.array([], dtype=df["center"].dtype.name),
-                 "tri": pd.array([], dtype="int64")}
-            )
-        merged = w.merge(e[["u", "v"]].drop_duplicates(), on=["u", "v"])
+    def close(w: pa.Table, e: pa.Table):
+        if not w.num_rows or not e.num_rows:
+            return pa.table({
+                "node": pa.array([], w["center"].type if w.num_columns
+                                 else pa.int64()),
+                "tri": pa.array([], pa.int64())})
+        merged = w.to_pandas().merge(
+            e.to_pandas().drop_duplicates(), on=["u", "v"])
         cnt = merged.groupby("center", sort=False).size()
         return pd.DataFrame(
             {"node": cnt.index.to_numpy(),
              "tri": cnt.to_numpy(np.int64)}
         )
 
-    return grouped_map(wedge_rows.union(edge_rows), "u", close)
+    return cogroup(grouped_map(sym, "src", wedges),
+                   edges.map_batches(canon, batch_format="pyarrow"),
+                   "u", "u", close)
 
 
 def node_triangles(edges, u_col: str = "u", v_col: str = "v",

@@ -1,10 +1,13 @@
-"""Join strategies: broadcast small-side join and partitioned hash join.
+"""Join strategies: broadcast small-side joins and partitioned cogroups.
 
 The reference's only joins are line-aligned zip joins and tiny dict
 lookups (SURVEY.md §2.4 J1-J2); at 100 TB those become either a broadcast
-(`ray.put` once, read per task: ``broadcast_join``) or an all-to-all
-bucketed hash join (``bucket_join``), so every caller states its choice
-explicitly.
+(`ray.put` once, read per task: ``broadcast_join``, ``semi_join_filter``,
+``range_join_broadcast``) or a keyed shuffle, so every caller states its
+choice explicitly.  Every two-input shuffle here (``bucket_join`` and its
+salted/skew wrappers, ``semi_join``'s exact residual, ``asof_join``,
+``interval_join``) is one ``kgray.util.cogroup``: each side reaches the
+per-bucket kernel as its own typed Arrow table.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import collect_table, fits_small
+from kgray.util import cogroup, collect_table, fits_small
 
 
 def bucket_join(
@@ -23,165 +26,63 @@ def bucket_join(
     on: str | list[str],
     right_on: str | list[str] | None = None,
     how: str = "left",
-    num_buckets: int = 32,
+    num_buckets: int | None = None,
     right_suffix: str = "_r",
 ):
-    """Explicit partitioned hash join: bucket both sides by key hash,
-    cogroup via ONE groupby shuffle, Arrow-join inside each bucket.
+    """Explicit partitioned hash join: ``util.cogroup`` on the key, and
+    an Arrow ``pa.Table.join`` inside each bucket.
 
-    The portable pattern from the Ray Data guide — used where
-    ``Dataset.join`` is fragile (its hash-shuffle builds a zero-column
-    left table for left-empty partitions, which Arrow's acero join
-    rejects).  Everything stays Arrow end-to-end: widening uses TYPED
-    nulls and the in-bucket join is ``pa.Table.join``, so int64 keys
-    never get floatified by pandas-null coercion (which would corrupt
-    the bucket hash of a chained join).  ``num_buckets`` is the shuffle
-    fan-out: size so one bucket (both sides) fits a worker's heap; salt
-    skewed keys before calling.
+    Used where ``Dataset.join`` is fragile (its hash-shuffle builds a
+    zero-column left table for left-empty partitions, which Arrow's
+    acero join rejects).  Everything stays Arrow end-to-end, so an
+    unmatched row's int64 columns stay int64 with nulls (pandas would
+    floatify them and corrupt the bucket hash of a chained join).
+    ``num_buckets`` is the shuffle fan-out (default
+    ``default_num_buckets()``): size so one bucket (both sides) fits a
+    worker's heap; salt skewed keys first (``salted_bucket_join``).
 
-    ``on`` / ``right_on`` accept a list for composite keys: the bucket
-    hash combines the normalized key columns row-wise (ints widened to
-    int64 first, so an int32 left key meets an int64 right key in the
-    same bucket), and the in-bucket Arrow join runs on the full key
-    tuple — no caller-side key concatenation needed.
+    ``on`` / ``right_on`` accept a list for composite keys; an int32 key
+    meets its int64 twin (both widen to int64).  Right columns whose
+    names clash with left ones take ``right_suffix``; a right key named
+    differently from its left key is dropped (the left key carries the
+    value).  A side with no rows and no schema has no nameable columns:
+    the join then keeps the other side's rows as they are when ``how``
+    keeps them, else gives no rows.
     """
-
-    import pyarrow.compute as pc
-
     on_keys = [on] if isinstance(on, str) else list(on)
-    if right_on is None:
-        r_keys = list(on_keys)
-    else:
-        r_keys = [right_on] if isinstance(right_on, str) else list(right_on)
-    if len(on_keys) != len(r_keys):
-        raise ValueError("on and right_on must have the same arity")
-    on = on_keys[0]
-    right_on = r_keys[0]
-
-    l_schema, r_schema = left.schema(), right.schema()
-    if l_schema is None and how in ("inner", "left", "left_outer"):
-        # a left side with no rows reports no schema: it joins to no rows
-        return left
-    left_cols = l_schema.names
-    right_cols = r_schema.names
-    dunder = [c for c in (*left_cols, *right_cols)
-              if c.startswith("__") and c not in ("__bucket", "__side")]
-    if dunder:
-        # "__" is the internal-column namespace silently stripped from
-        # the in-bucket join — a payload column there would vanish from
-        # the output (bit table_diff's first draft); fail loudly instead
-        raise ValueError(
-            f"bucket_join reserves '__'-prefixed columns; rename {dunder}"
-        )
-    same_named = {r for l, r in zip(on_keys, r_keys) if l == r}
-    clash = (set(left_cols) & set(right_cols)) - same_named
-    ren = {c: c + right_suffix for c in clash}
-
-    def _pa_type(t) -> pa.DataType:
-        # Dataset.schema() reports python types for non-Arrow blocks
-        if isinstance(t, pa.DataType):
-            return t
-        return {
-            str: pa.string(), int: pa.int64(), float: pa.float64(),
-            bool: pa.bool_(), bytes: pa.binary(),
-        }.get(t, pa.string())
-
-    col_types: dict[str, pa.DataType] = {}
-    for n, t in zip(l_schema.names, l_schema.types):
-        col_types[n] = _pa_type(t)
-    for n, t in zip(r_schema.names, r_schema.types):
-        col_types[ren.get(n, n)] = _pa_type(t)
-    # key dtypes must agree across sides for the in-bucket Arrow join:
-    # widen integer key pairs to int64 (the tag pass casts to col_types)
-    for lk, rk in zip(on_keys, [ren.get(k, k) for k in r_keys]):
-        lt, rt = col_types.get(lk), col_types.get(rk)
-        if lt != rt and pa.types.is_integer(lt) and pa.types.is_integer(rt):
-            col_types[lk] = col_types[rk] = pa.int64()
-
-    def tag(side: int, key_cols: list[str], rename: dict[str, str]):
-        from kgray.util import bucket_of, bucket_of_multi
-
-        def apply(batch: pa.Table) -> pa.Table:
-            if rename:
-                batch = batch.rename_columns(
-                    [rename.get(c, c) for c in batch.column_names]
-                )
-            # normalize physical types to the declared schema (pandas-block
-            # upstreams can report widened types)
-            for c in batch.column_names:
-                want = col_types.get(c)
-                if want is not None and batch.schema.field(c).type != want:
-                    i = batch.column_names.index(c)
-                    batch = batch.set_column(i, c, batch[c].cast(want))
-            eff = [rename.get(k, k) for k in key_cols]
-            if len(eff) == 1:
-                bucket = bucket_of(batch[eff[0]], num_buckets)
-            else:
-                bucket = bucket_of_multi(batch, eff, num_buckets)
-            return batch.append_column("__bucket", pa.array(bucket)).append_column(
-                "__side", pa.array(np.full(len(batch), side, np.int8))
-            )
-
-        return apply
-
-    l_tagged = left.map_batches(tag(0, on_keys, {}), batch_format="pyarrow")
-    r_tagged = right.map_batches(tag(1, r_keys, ren), batch_format="pyarrow")
-
-    l_names = [*left_cols, "__bucket", "__side"]
-    r_names = [*(ren.get(c, c) for c in right_cols), "__bucket", "__side"]
-    all_names = list(dict.fromkeys([*l_names, *r_names]))
-
-    def widen(names_present):
-        missing = [c for c in all_names if c not in names_present]
-
-        def apply(batch: pa.Table) -> pa.Table:
-            for c in missing:
-                batch = batch.append_column(
-                    c, pa.nulls(len(batch), col_types.get(c, pa.string()))
-                )
-            return batch.select(all_names)
-
-        return apply
-
-    # bundle tiny upstream blocks into the widen map (same rationale as
-    # util.grouped_map: the cogroup sort's fixed cost scales with input
-    # block count; batch_size merges adjacent small blocks inside the
-    # streaming executor with no extra stage and no barrier)
-    from kgray.util import _COALESCE_BATCH_ROWS
-
-    l_wide = l_tagged.map_batches(widen(l_names), batch_format="pyarrow",
-                                  batch_size=_COALESCE_BATCH_ROWS)
-    r_wide = r_tagged.map_batches(widen(r_names), batch_format="pyarrow",
-                                  batch_size=_COALESCE_BATCH_ROWS)
-
-    r_keys_eff = [ren.get(k, k) for k in r_keys]
-    drop_keys = {
-        r for l, r in zip(on_keys, r_keys_eff) if r != l
-    }
-    out_cols = [c for c in all_names if c not in ("__bucket", "__side")]
-    out_cols = [c for c in out_cols if c not in drop_keys]
+    r_keys = on_keys if right_on is None else (
+        [right_on] if isinstance(right_on, str) else list(right_on))
     arrow_how = {
         "left": "left outer", "left_outer": "left outer",
         "right": "right outer", "right_outer": "right outer",
         "inner": "inner", "outer": "full outer", "full_outer": "full outer",
     }[how]
-    l_data = [c for c in l_names if not c.startswith("__")]
-    r_data = [c for c in r_names if not c.startswith("__")]
+    same_named = {r for l, r in zip(on_keys, r_keys) if l == r}
 
-    def merge(g: pa.Table) -> pa.Table:
-        mask = pc.equal(g["__side"], 0)
-        lp = g.filter(mask).select(l_data)
-        rp = g.filter(pc.invert(mask)).select(r_data)
-        m = lp.join(
-            rp, keys=on_keys, right_keys=r_keys_eff, join_type=arrow_how
-        )
-        return m.select(out_cols).combine_chunks()
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        if not lt.num_columns or not rt.num_columns:
+            kept = {"left outer": lt, "right outer": rt,
+                    "full outer": lt if lt.num_columns else rt}
+            return kept.get(arrow_how, pa.table({}))
+        clash = (set(lt.column_names) & set(rt.column_names)) - same_named
+        rt = rt.rename_columns(
+            [c + right_suffix if c in clash else c for c in rt.column_names])
+        rk = [k + right_suffix if k in clash else k for k in r_keys]
+        for a, b in zip(on_keys, rk):
+            ta, tb = lt.schema.field(a).type, rt.schema.field(b).type
+            if ta != tb and pa.types.is_integer(ta) and pa.types.is_integer(tb):
+                lt = lt.set_column(lt.column_names.index(a), a,
+                                   lt[a].cast(pa.int64()))
+                rt = rt.set_column(rt.column_names.index(b), b,
+                                   rt[b].cast(pa.int64()))
+        dropped = set(rk) - set(on_keys)
+        cols = [*lt.column_names,
+                *(c for c in rt.column_names
+                  if c not in dropped and c not in lt.column_names)]
+        return lt.join(rt, keys=on_keys, right_keys=rk,
+                       join_type=arrow_how).select(cols).combine_chunks()
 
-    return (
-        l_wide.union(r_wide)
-        .groupby("__bucket")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return cogroup(left, right, on_keys, r_keys, merge, num_buckets)
 
 
 def broadcast_join(
@@ -201,7 +102,6 @@ def broadcast_join(
     bounded working set).  Wrong for big-big joins — use ``bucket_join``.
     ``right`` may be a Dataset or a pyarrow Table.
     """
-    import pyarrow.compute as pc  # noqa: F401 (kept for callers)
     import ray
 
     right_on = right_on or on
@@ -233,32 +133,36 @@ def broadcast_join(
 # semi_join's key-set broadcast gate: estimated raw right-side bytes
 # (read at call time)
 MAX_BROADCAST_BYTES = 1 << 28
+# width of semi_join's Bloom prefilter on the partitioned path (2^24 bits
+# = a 2 MB broadcast; read at call time)
+BLOOM_BITS = 1 << 24
 
 
 def semi_join(left, right, on: str, right_on: str | None = None,
-              anti: bool = False, bloom_bits: int | None = 1 << 24):
+              anti: bool = False):
     """Semi (EXISTS) / anti (NOT EXISTS) join of ``left`` against the key
     set of ``right``.
 
-    The right side reduces to its DISTINCT key column first (per-batch
-    combiner -> one small groupby), so what broadcasts is a key set, not
-    rows.  At or under ``MAX_BROADCAST_BYTES`` (estimated raw right
-    size, 256 MB — a python set carries ~5-10x overhead per key, so this
-    bounds the driver-resident set to low GBs worst case) the set ships
-    via the object store and the filter runs inside map_batches with no
-    shuffle — the right plan for dimension-sized key sets at any scale.
-    Above it (or under KGRAY_FORCE_DISTRIBUTED), fall back to a bucket
-    cogroup: both sides shuffle ONCE on the key hash and the membership
-    test runs per bucket — but first, when ``bloom_bits`` is set (default
-    2^24 = 2 MB broadcast), a distributed Bloom filter of the right keys
-    pre-filters the left INSIDE map_batches: rows the filter rejects are
-    definitively absent from the right (no false negatives), so only
-    bloom-candidates pay the cogroup shuffle; false positives are
-    corrected by that exact residual join, keeping results exact at any
-    FP rate.  The anti path reads ``left`` twice (definite-keeps +
-    candidates) — materialize an expensive upstream before calling, or
-    pass ``bloom_bits=None``.
+    The right side reduces to its per-batch distinct key column first,
+    so what moves is a key set, not rows.  At or under
+    ``MAX_BROADCAST_BYTES`` (estimated raw right size, 256 MB — a python
+    set carries ~5-10x overhead per key, so this bounds the
+    driver-resident set to low GBs worst case) the set ships via the
+    object store and the filter runs inside map_batches with no shuffle
+    — the right plan for dimension-sized key sets at any scale.  Above
+    it (or under KGRAY_FORCE_DISTRIBUTED) a distributed Bloom filter of
+    the right keys (``BLOOM_BITS`` wide) first splits the left INSIDE
+    map_batches: rows it rejects are definitively absent from the right
+    (no false negatives), so only the candidates pay ONE ``cogroup``
+    shuffle with the keys, where the broadcast path's membership test
+    runs per bucket — exact at any false-positive rate.  The anti path
+    reads ``left`` twice (definite-keeps + candidates): materialize an
+    expensive upstream before calling.
     """
+    import ray
+
+    from kgray.ops.bloom import bloom_mask, build_bloom
+
     right_on = right_on or on
     keys_ds = right.map_batches(
         lambda b: pa.table({"__k": pc_unique(b[right_on])}),
@@ -269,65 +173,45 @@ def semi_join(left, right, on: str, right_on: str | None = None,
         keys = set(tbl["__k"].to_pylist()) if tbl.num_rows else set()
         return semi_join_filter(left, keys, on, keep=not anti)
 
-    if bloom_bits:
-        import ray
+    words_ref = ray.put(build_bloom(keys_ds, "__k", n_bits=BLOOM_BITS))
 
-        from kgray.ops.bloom import bloom_mask, build_bloom
+    def part(candidates: bool):
+        def apply(batch: pa.Table) -> pa.Table:
+            m = bloom_mask(batch[on], ray.get(words_ref))
+            return batch.filter(pa.array(m if candidates else ~m))
 
-        words_ref = ray.put(build_bloom(keys_ds, "__k", n_bits=bloom_bits))
+        return apply
 
-        def part(candidates: bool):
-            def apply(batch: pa.Table) -> pa.Table:
-                m = bloom_mask(batch[on], ray.get(words_ref))
-                return batch.filter(pa.array(m if candidates else ~m))
+    def member(lt: pa.Table, kt: pa.Table) -> pa.Table:
+        if not kt.num_rows or not lt.num_rows:
+            return lt if anti else lt.slice(0, 0)
+        return lt.filter(_member_mask(lt[on], kt["__k"], not anti))
 
-            return apply
-
-        cand = left.map_batches(part(True), batch_format="pyarrow")
-        residual = _semi_cogroup(cand, keys_ds, on, anti)
-        if not anti:
-            return residual
-        definite = left.map_batches(part(False), batch_format="pyarrow")
-        return definite.union(residual)
-
-    return _semi_cogroup(left, keys_ds, on, anti)
-
-
-def _semi_cogroup(left, keys_ds, on: str, anti: bool):
-    """Exact big-big semi/anti core: one bucket-cogroup left join against
-    (distinct key, marker) rows, then keep/drop on marker presence —
-    reuses bucket_join's typed-null widening so no schema drift."""
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count
-
-    # per-batch unique is not globally unique: distinct first, or the
-    # left join would duplicate left rows per surviving key copy
-    distinct = keys_ds.groupby("__k").aggregate(Count(alias_name="__c"))
-    marker = distinct.map_batches(
-        lambda b: pa.table(
-            {
-                on: b["__k"],
-                "_exists": pa.array(np.ones(len(b), np.int8)),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    joined = bucket_join(left, marker, on=on, how="left")
-
-    def finish(batch: pa.Table) -> pa.Table:
-        present = pc.is_valid(batch["_exists"])
-        mask = present if not anti else pc.invert(present)
-        return batch.filter(mask).drop_columns(["_exists"])
-
-    return joined.map_batches(finish, batch_format="pyarrow")
+    cand = left.map_batches(part(True), batch_format="pyarrow")
+    residual = cogroup(cand, keys_ds, on, "__k", member)
+    if not anti:
+        return residual
+    definite = left.map_batches(part(False), batch_format="pyarrow")
+    return definite.union(residual)
 
 
 def pc_unique(col):
-    import pyarrow.compute as pc
-
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     return pc.unique(col)
+
+
+def _member_mask(col, keys: pa.Array, keep: bool):
+    """Rows of ``col`` in ``keys`` (``keep``) or not in them: one
+    ``pc.is_in`` kernel, a null probe never kept."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    if keys.type != col.type:
+        keys = keys.cast(col.type)
+    mask = pc.is_in(col, value_set=keys)
+    return pc.fill_null(mask if keep else pc.invert(mask), False)
 
 
 def semi_join_filter(ds, keys, key_col: str, keep: bool = True):
@@ -337,23 +221,13 @@ def semi_join_filter(ds, keys, key_col: str, keep: bool = True):
     The key set ships as an Arrow array (denser than a python set in the
     object store) and the membership test is one ``pc.is_in`` kernel per
     batch — no per-row python."""
-    import pyarrow.compute as pc
     import ray
 
     value_set = keys if isinstance(keys, pa.Array) else pa.array(list(keys))
     ref = ray.put(value_set)
 
     def apply(batch: pa.Table) -> pa.Table:
-        ks = ray.get(ref)
-        col = batch[key_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if len(ks) and ks.type != col.type:
-            ks = ks.cast(col.type)
-        mask = pc.is_in(col, value_set=ks)
-        if not keep:
-            mask = pc.invert(mask)
-        return batch.filter(pc.fill_null(mask, False))
+        return batch.filter(_member_mask(batch[key_col], ray.get(ref), keep))
 
     return ds.map_batches(apply, batch_format="pyarrow")
 
@@ -365,87 +239,50 @@ def asof_join(left, right, key: str, time_col: str,
     for every left row, attach the LATEST right row of the same ``key``
     with right time <= left time (backward direction).
 
-    Dataflow: both sides cogroup ONCE on hash(key) (all rows of a key
-    colocate), and inside each bucket a single ``pandas.merge_asof(...,
-    by=key)`` performs the per-key backward search fully vectorized —
-    no per-key python.  Left rows with no prior right row carry nulls
-    (left-outer semantics; filter on the matched column for inner).
-    Partitioning assumption: one key's rows fit a bucket (same rule as
-    every keyed cogroup here); skewed keys need salting by time range.
+    Dataflow: ONE ``cogroup`` on hash(key) (all rows of a key colocate),
+    and inside each bucket a single ``pandas.merge_asof(..., by=key)``
+    over the key and time columns finds each left row's right row,
+    fully vectorized — no per-key python; the right rows then attach by
+    an Arrow ``take``, so every column keeps its type.  Left rows with no
+    prior right row carry nulls (left-outer semantics; filter on the
+    matched column for inner).  Right columns whose names clash with
+    left ones take ``suffix``.  Partitioning assumption: one key's rows
+    fit a bucket (same rule as every keyed cogroup here); skewed keys
+    need salting by time range.
     """
-    import pandas as pd
-
-    from kgray.util import grouped_map
-
     rt = right_time_col or time_col
-    left_cols = left.schema().names
-    r_schema = right.schema()
-    if r_schema is None:
-        # schema-less empty right (e.g. a filter that dropped everything):
-        # no right columns are even nameable — left passes through
-        return left
-    right_cols = r_schema.names
-    clash = (set(left_cols) & set(right_cols)) - {key}
-    ren = {c: c + suffix for c in clash}
-    r_time_out = ren.get(rt, rt)
 
-    def tag_left(b: pa.Table) -> pa.Table:
-        return b.append_column("__side", pa.array(np.zeros(len(b), np.int8)))
+    def bucket_asof(lt: pa.Table, rtab: pa.Table) -> pa.Table:
+        if not lt.num_columns or not rtab.num_columns:
+            # a side with no rows and no schema: no right columns are
+            # even nameable — left passes through
+            return lt
+        lt = lt.take(pc.sort_indices(lt, [(time_col, "ascending")]))
+        rtab = rtab.take(pc.sort_indices(rtab, [(rt, "ascending")]))
+        lp, rp = (pd.DataFrame({key: _np(t[key]), "t": _np(t[c])})
+                  for t, c in ((lt, time_col), (rtab, rt)))
+        rp["row"] = np.arange(len(rp))
+        row = pd.merge_asof(lp, rp, on="t", by=key, direction="backward",
+                            allow_exact_matches=allow_exact)["row"]
+        picked = rtab.take(pa.array(row.fillna(-1).to_numpy(np.int64),
+                                    mask=row.isna().to_numpy()))
+        clash = set(lt.column_names) - {key}
+        out = lt
+        for c in picked.column_names:
+            if c != key:
+                out = out.append_column(c + suffix if c in clash else c,
+                                        picked[c])
+        return out
 
-    def tag_right(b: pa.Table) -> pa.Table:
-        b = b.rename_columns([ren.get(c, c) for c in b.column_names])
-        return b.append_column("__side", pa.array(np.ones(len(b), np.int8)))
+    return cogroup(left, right, key, key, bucket_asof)
 
-    l_names = [*left_cols, "__side"]
-    r_names = [*(ren.get(c, c) for c in right_cols), "__side"]
-    all_names = list(dict.fromkeys([*l_names, *r_names]))
 
-    l_schema, r_schema = left.schema(), right.schema()
-    col_types: dict = {}
-    for n, t in zip(l_schema.names, l_schema.types):
-        col_types[n] = t if isinstance(t, pa.DataType) else pa.string()
-    for n, t in zip(r_schema.names, r_schema.types):
-        col_types[ren.get(n, n)] = t if isinstance(t, pa.DataType) else pa.string()
-
-    def widen(present):
-        missing = [c for c in all_names if c not in present]
-
-        def apply(b: pa.Table) -> pa.Table:
-            for c in missing:
-                b = b.append_column(
-                    c, pa.nulls(len(b), col_types.get(c, pa.string()))
-                )
-            return b.select(all_names)
-
-        return apply
-
-    both = left.map_batches(tag_left, batch_format="pyarrow").map_batches(
-        widen(l_names), batch_format="pyarrow"
-    ).union(
-        right.map_batches(tag_right, batch_format="pyarrow").map_batches(
-            widen(r_names), batch_format="pyarrow"
-        )
-    )
-
-    l_data = [c for c in l_names if c != "__side"]
-    r_data = [c for c in r_names if c != "__side"]
-
-    def bucket_asof(df: pd.DataFrame) -> pd.DataFrame:
-        lp = df.loc[df["__side"] == 0, l_data].sort_values(time_col)
-        rp = df.loc[df["__side"] == 1, r_data].sort_values(r_time_out)
-        if len(rp) == 0:
-            out = lp.copy()
-            for c in r_data:
-                if c != key:
-                    out[c] = pd.Series([None] * len(out), dtype=rp[c].dtype
-                                       if c in rp else object)
-            return out
-        return pd.merge_asof(
-            lp, rp, left_on=time_col, right_on=r_time_out, by=key,
-            direction="backward", allow_exact_matches=allow_exact,
-        )
-
-    return grouped_map(both, key, bucket_asof)
+def _np(col) -> np.ndarray:
+    """An Arrow column as numpy, ints widened to int64 (so an int32
+    column meets its int64 twin in a pandas merge)."""
+    if pa.types.is_integer(col.type):
+        col = pc.cast(col, pa.int64())
+    return col.to_numpy(zero_copy_only=False)
 
 
 def interval_join(left, right, key: str,
@@ -460,7 +297,7 @@ def interval_join(left, right, key: str,
     numeric (typically integer-microsecond) bounds; ``l_id`` / ``r_id``
     name each side's INPUT id column, and the output columns are always
     ``(key, "l_id", "r_id", overlap_col)``.  Dataflow: ONE
-    cogroup on hash(key); inside each bucket, per key the left
+    ``cogroup`` on hash(key); inside each bucket, per key the left
     intervals sort by start and every right row finds its candidate
     range with two binary searches — ``searchsorted(cummax(l_end),
     r_start)`` (the running-max end is monotone even when raw ends are
@@ -472,43 +309,31 @@ def interval_join(left, right, key: str,
     a bucket (the house cogroup rule); a pathological key whose
     intervals all mutually overlap is inherently output-quadratic.
     """
-    import pandas as pd
+    def arrays(t: pa.Table, id_col: str):
+        return t[key].to_pandas(), *(
+            pc.cast(t[c], pa.int64()).to_numpy(zero_copy_only=False)
+            for c in (id_col, start_col, end_col))
 
-    from kgray.util import grouped_map
-
-    def tag(side: int, id_col: str):
-        def apply(b: pa.Table) -> pa.Table:
+    def bucket(lt: pa.Table, rt: pa.Table):
+        if not lt.num_rows or not rt.num_rows:
             return pa.table({
-                key: b[key],
-                "__iid": pc.cast(b[id_col], pa.int64()),
-                "__s": pc.cast(b[start_col], pa.int64()),
-                "__e": pc.cast(b[end_col], pa.int64()),
-                "__side": pa.array(np.full(len(b), side, np.int8)),
-            })
-
-        return apply
-
-    both = left.map_batches(tag(0, l_id), batch_format="pyarrow").union(
-        right.map_batches(tag(1, r_id), batch_format="pyarrow"))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        side = df["__side"].to_numpy()
+                key: pa.array([], lt[key].type if lt.num_columns
+                              else pa.int64()),
+                **{c: pa.array([], pa.int64())
+                   for c in ("l_id", "r_id", overlap_col)}})
+        lk, lid_all, ls_all, le_all = arrays(lt, l_id)
+        rk, rid_all, rs_all, re_all = arrays(rt, r_id)
+        r_groups = rk.groupby(rk, sort=False).indices
         outs = []
-        for _, idx in df.groupby(key, sort=False).indices.items():
-            li = idx[side[idx] == 0]
-            ri = idx[side[idx] == 1]
-            if not len(li) or not len(ri):
+        for k, li in lk.groupby(lk, sort=False).indices.items():
+            ri = r_groups.get(k)
+            if ri is None:
                 continue
-            ls = df["__s"].to_numpy()[li]
-            order = np.argsort(ls, kind="mergesort")
+            order = np.argsort(ls_all[li], kind="mergesort")
             li = li[order]
-            ls = ls[order]
-            le = df["__e"].to_numpy()[li]
-            lid = df["__iid"].to_numpy()[li]
+            ls, le, lid = ls_all[li], le_all[li], lid_all[li]
             le_cm = np.maximum.accumulate(le)
-            rs = df["__s"].to_numpy()[ri]
-            re_ = df["__e"].to_numpy()[ri]
-            rid = df["__iid"].to_numpy()[ri]
+            rs, re_, rid = rs_all[ri], re_all[ri], rid_all[ri]
             lo = np.searchsorted(le_cm, rs, side="left")
             hi = np.searchsorted(ls, re_, side="right")
             cnt = np.maximum(hi - lo, 0)
@@ -523,19 +348,14 @@ def interval_join(left, right, key: str,
             ov = (np.minimum(le[l_pos], re_[r_rep])
                   - np.maximum(ls[l_pos], rs[r_rep]))
             outs.append(pd.DataFrame({
-                key: df[key].to_numpy()[li][l_pos],
+                key: lk.to_numpy()[li][l_pos],
                 "l_id": lid[l_pos], "r_id": rid[r_rep], overlap_col: ov,
             }))
         if not outs:
-            return pd.DataFrame({
-                key: pd.array([], dtype=df[key].dtype),
-                "l_id": pd.array([], dtype="int64"),
-                "r_id": pd.array([], dtype="int64"),
-                overlap_col: pd.array([], dtype="int64"),
-            })
+            return bucket(lt.slice(0, 0), rt)
         return pd.concat(outs, ignore_index=True)
 
-    return grouped_map(both, key, bucket)
+    return cogroup(left, right, key, key, bucket)
 
 
 def band_self_join(ds, id_col: str, value_col: str, delta: int,
@@ -774,8 +594,6 @@ def skew_join(left, right, on, right_on=None, how: str = "inner",
     broadcast with zero shuffle, cold rows take the plain bucket join,
     and the union preserves ``how`` ('inner' or 'left') because the two
     row classes partition the left exactly."""
-    import pyarrow.compute as pc
-
     assert how in ("inner", "left"), "skew_join supports inner/left"
     on_keys = [on] if isinstance(on, str) else list(on)
     assert len(on_keys) == 1, "skew_join detects skew on a single key"
@@ -791,12 +609,13 @@ def skew_join(left, right, on, right_on=None, how: str = "inner",
             "n": pa.array(vc.to_numpy(np.int64)),
         })
 
-    cen = left.map_batches(census, batch_format="pyarrow").to_pandas()
-    total = int(left.count())
-    est = cen.groupby("k", sort=False)["n"].sum()
-    hot = est[est >= max(1, int(hot_share * total))]
-    hot = hot.sort_values(ascending=False).head(max_hot_keys)
-    hot_set = set(hot.index.tolist())
+    cen = collect_table(left.map_batches(census, batch_format="pyarrow"))
+    hot_set = set()
+    if cen.num_rows:
+        est = cen.to_pandas().groupby("k", sort=False)["n"].sum()
+        hot = est[est >= max(1, int(hot_share * left.count()))]
+        hot = hot.sort_values(ascending=False).head(max_hot_keys)
+        hot_set = set(hot.index.tolist())
 
     if not hot_set:
         return bucket_join(left, right, on=key, right_on=rkey, how=how,
@@ -815,7 +634,11 @@ def skew_join(left, right, on, right_on=None, how: str = "inner",
         m = pc.is_in(batch[rkey], value_set=doomed.cast(batch[rkey].type))
         return batch.filter(m)
 
-    r_hot = right.map_batches(right_hot_rows, batch_format="pyarrow")
+    r_hot = collect_table(right.map_batches(right_hot_rows,
+                                            batch_format="pyarrow"))
+    if not r_hot.num_columns:
+        # a right side with no rows maps to no blocks and no schema
+        r_hot = collect_table(right)
     hot_joined = broadcast_join(
         left.map_batches(lambda b: is_hot(b, False),
                          batch_format="pyarrow"),
@@ -826,6 +649,6 @@ def skew_join(left, right, on, right_on=None, how: str = "inner",
                          batch_format="pyarrow"),
         right, on=key, right_on=rkey, how=how,
         num_buckets=num_buckets, right_suffix=right_suffix)
-    cols = sorted(hot_joined.schema().names)
-    return hot_joined.select_columns(cols) \
-        .union(cold_joined.select_columns(cols))
+    # broadcast_join's column order is bucket_join's
+    cols = hot_joined.schema().names
+    return hot_joined.union(cold_joined.select_columns(cols))

@@ -23,7 +23,7 @@ mode, ``only_involving``: the first-seen keys whose pairs are the only
 ones enumerated.
 
 All stages are map_batches + one groupby per hop; pair verification runs
-where the block lives (map_groups), never on the driver.
+where the block lives (inside ``grouped_map``), never on the driver.
 """
 
 from __future__ import annotations

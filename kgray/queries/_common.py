@@ -35,12 +35,12 @@ from kgray.ops.agg import pre_aggregate
 from kgray.ops.joins import (asof_join, broadcast_join, bucket_join,
                              salted_bucket_join, semi_join)
 from kgray.ops.similarity import _matrix
-from kgray.util import grouped_map, round_half_up
+from kgray.util import cogroup, grouped_map, round_half_up
 
 __all__ = [
     "np", "pd", "pa", "pc", "pds", "rd", "datetime", "math", "re",
     "Count", "Max", "Min", "Sum",
-    "pre_aggregate", "grouped_map", "round_half_up",
+    "pre_aggregate", "cogroup", "grouped_map", "round_half_up",
     "asof_join", "broadcast_join", "bucket_join", "salted_bucket_join",
     "semi_join", "_matrix",
     "_read", "_round_col", "_query_vec",

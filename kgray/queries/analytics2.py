@@ -134,52 +134,37 @@ GROUP BY 1
 def q_tpch_q13(sf_dir: str):
     """TPC-H Q13 shape (customer order-count distribution): orders fold
     to one row per custkey FIRST (combiner groupby — the shuffle moves
-    counts, not orders), then ONE left bucket-cogroup against the
-    customer keys preserves zero-order customers, and the distribution
-    is a second tiny fold over at-most-|customer| rows."""
+    counts, not orders), then ONE cogroup against the customer keys
+    preserves zero-order customers, and the distribution is a second
+    tiny fold over at-most-|customer| rows."""
 
     def order_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("o_custkey").aggregate([([], "count_all")])
         return pa.table(
-            {
-                "key": g["o_custkey"],
-                "c": g["count_all"].cast(pa.int64()),
-                "is_cust": pa.array(np.zeros(len(g), np.int8)),
-            }
-        )
-
-    def cust_partial(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "key": batch["c_custkey"],
-                "c": pa.array(np.zeros(len(batch), np.int64)),
-                "is_cust": pa.array(np.ones(len(batch), np.int8)),
-            }
+            {"key": g["o_custkey"], "c": g["count_all"].cast(pa.int64())}
         )
 
     orders = _read(sf_dir, "orders", ["o_custkey"]).map_batches(
         order_partial, batch_format="pyarrow"
     )
-    cust = _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        cust_partial, batch_format="pyarrow"
-    )
+    cust = _read(sf_dir, "customer", ["c_custkey"])
 
-    def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(o: pa.Table, c: pa.Table) -> pd.DataFrame:
         # sum order-count partials per key, left-attach onto the
-        # customer marker rows (zero-order customers keep c_count 0),
-        # and fold straight to distribution partials — the whole LEFT
-        # JOIN + both GROUP BYs in one pass over the bucket
-        oc = df[df["is_cust"] == 0]
-        sums = oc.groupby("key", sort=False)["c"].sum()
-        keys = df.loc[df["is_cust"] == 1, "key"]
-        cc = keys.map(sums).fillna(0).astype(np.int64)
-        dist = cc.value_counts()
+        # customer keys (zero-order customers keep c_count 0), and fold
+        # straight to distribution partials — the whole LEFT JOIN + both
+        # GROUP BYs in one pass over the bucket
+        sums = o.to_pandas().groupby("key", sort=False)["c"].sum() \
+            if o.num_rows else pd.Series([], dtype=np.int64)
+        keys = c["c_custkey"].to_pandas() if c.num_rows \
+            else pd.Series([], dtype=np.int64)
+        dist = keys.map(sums).fillna(0).astype(np.int64).value_counts()
         return pd.DataFrame(
             {"c_count": dist.index.to_numpy(np.int64),
              "custdist": dist.to_numpy(np.int64)}
         )
 
-    partials = grouped_map(orders.union(cust), "key", per_bucket)
+    partials = cogroup(orders, cust, "key", "c_custkey", per_bucket)
     return pre_aggregate(partials, ["c_count"],
                          {"custdist": ("custdist", "sum")})
 

@@ -141,18 +141,72 @@ def default_num_buckets() -> int:
     return max(32, cpus)
 
 
-# bundle target for grouped_map's tiny-block coalescing: small enough
-# that a bundle of KB-scale text rows stays well under a worker's heap
-# (16384 x 4 KB = 64 MB), large enough to collapse tiny-block storms
+# bundle target for the bucket shuffle's tiny-block coalescing: small
+# enough that a bundle of KB-scale text rows stays well under a worker's
+# heap (16384 x 4 KB = 64 MB), large enough to collapse tiny-block storms
 _COALESCE_BATCH_ROWS = 16384
+
+
+def _bucket_ids(batch: pa.Table, keys: list[str],
+                num_buckets: int) -> np.ndarray:
+    """The bucket of every row: ``bucket_of`` for one key column,
+    ``bucket_of_multi`` for a composite key (both widen ints, so an
+    int32 key meets its int64 twin)."""
+    if len(keys) == 1:
+        return bucket_of(batch[keys[0]], num_buckets)
+    return bucket_of_multi(batch, keys, num_buckets)
+
+
+def _bucket_shuffle(sides, num_buckets: int, coalesce: bool = True):
+    """The engine's one hash shuffle, under ``grouped_map`` and
+    ``cogroup``: each ``(ds, tag)`` side maps through ``tag`` (which
+    adds the int ``__bucket`` column), the sides union, and ONE groupby
+    on ``__bucket`` follows; the caller runs ``map_groups`` on it.
+
+    Tiny blocks coalesce first: the sort barrier's fixed cost scales
+    with map_blocks x reduce_partitions (measured: 6.8s -> sub-second on
+    64-tiny-block inputs).  Done by BUNDLING the tag map (batch_size
+    merges adjacent small blocks inside the streaming executor: 256 tiny
+    blocks -> 4, zero extra stage) — NOT by repartition(), a second
+    all-to-all that also materializes the whole input before the sort's
+    own shuffle.  When every side is materialized and their blocks
+    number at most ``num_buckets`` the bundling is skipped (an iterative
+    loop re-consuming coarse materialized outputs keeps one batch per
+    block); ``num_blocks()`` raises on a lazy side, which keeps
+    ``coalesce``."""
+    if coalesce:
+        try:
+            coalesce = sum(ds.num_blocks() for ds, _ in sides) > num_buckets
+        except Exception:
+            pass
+    kw = {"batch_size": _COALESCE_BATCH_ROWS} if coalesce else {}
+    tagged = [ds.map_batches(tag, batch_format="pyarrow", **kw)
+              for ds, tag in sides]
+    both = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return both.groupby("__bucket")
+
+
+def _as_arrow(out):
+    """``fn``'s result as an Arrow block: any downstream sort/groupby
+    over pandas blocks is ~12x slower (measured 7.6s vs 0.6s on a
+    14k-row aggregate).  The pandas schema metadata is stripped: its
+    dict payload makes the schema unhashable and Ray's block-schema
+    dedup then warns "Failed to hash the schemas" on every block."""
+    import pandas as pd
+
+    if isinstance(out, pd.DataFrame):
+        return pa.Table.from_pandas(
+            out, preserve_index=False).replace_schema_metadata(None)
+    return out
 
 
 def grouped_map(ds, key: str, fn, num_buckets: int | None = None,
                 drop_key_bucket=True, coalesce: bool = True):
-    """Coarse-bucket cogroup: hash ``key`` into ``num_buckets`` buckets,
-    ONE groupby shuffle on the bucket, and ``fn`` (pandas DataFrame ->
-    pandas DataFrame) applied once per BUCKET — the caller vectorizes its
-    own per-key grouping inside (``df.groupby(key)`` in C).
+    """Coarse-bucket groupby: hash ``key`` into ``num_buckets`` buckets,
+    ONE shuffle on the bucket (``_bucket_shuffle``), and ``fn`` (pandas
+    DataFrame -> pandas DataFrame) applied once per BUCKET — the caller
+    vectorizes its own per-key grouping inside (``df.groupby(key)`` in
+    C).  Two inputs meet through ``cogroup``, never a union into this.
 
     Rationale: ``Dataset.groupby(key).map_groups`` pays per-group python +
     block-conversion overhead; with 10^4+ tiny groups (shingles, band
@@ -160,53 +214,108 @@ def grouped_map(ds, key: str, fn, num_buckets: int | None = None,
     key land in one bucket, so any per-key computation stays correct;
     ``num_buckets`` is the parallelism/skew knob (same sizing rule as a
     partitioned join) and defaults to ``default_num_buckets()`` (scales
-    with cluster CPUs).
+    with cluster CPUs).  ``coalesce=False`` keeps one batch per input
+    block (see ``_bucket_shuffle``).
     """
-    import pandas as pd
-
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
-
-    def apply(g: pd.DataFrame):
-        if "__gbucket" in g.columns:
-            g = g.drop(columns="__gbucket")
-        out = fn(g)
-        # emit ARROW blocks: any downstream sort/groupby over pandas blocks
-        # is ~12x slower (measured 7.6s vs 0.6s on a 14k-row aggregate).
-        # Strip the pandas schema metadata: its dict payload makes the
-        # schema unhashable and Ray's block-schema dedup then warns
-        # "Failed to hash the schemas" on every such block
-        if isinstance(out, pd.DataFrame):
-            return pa.Table.from_pandas(
-                out, preserve_index=False).replace_schema_metadata(None)
-        return out
+    n = num_buckets or default_num_buckets()
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "__gbucket", pa.array(bucket_of(batch[key], num_buckets))
-        )
+            "__bucket", pa.array(bucket_of(batch[key], n)))
 
-    # coalesce tiny blocks first: the sort barrier's fixed cost scales
-    # with map_blocks x reduce_partitions (measured: 6.8s -> sub-second
-    # on 64-tiny-block inputs).  Done by BUNDLING the tag map
-    # (batch_size merges adjacent small blocks inside the streaming
-    # executor: 256 tiny blocks -> 4, zero extra stage) — NOT by
-    # repartition(), which is a second full all-to-all that also
-    # force-materializes the whole input in the object store before the
-    # sort's own shuffle (2x data movement at scale).  Callers whose
-    # input is ALREADY coarse (e.g. an iterative loop re-consuming
-    # materialized num_buckets-block outputs) pass coalesce=False to
-    # keep one-batch-per-block; when the input is materialized with few
-    # blocks the skip is automatic (num_blocks() raises on lazy
-    # datasets — those keep the caller's choice).
-    if coalesce:
-        try:
-            coalesce = ds.num_blocks() > num_buckets
-        except Exception:
-            pass
-    tag_kwargs = {"batch_size": _COALESCE_BATCH_ROWS} if coalesce else {}
-    tagged = ds.map_batches(tag, batch_format="pyarrow", **tag_kwargs)
-    return tagged.groupby("__gbucket").map_groups(apply, batch_format="pandas")
+    def apply(g):
+        return _as_arrow(fn(g.drop(columns="__bucket")))
+
+    return _bucket_shuffle([(ds, tag)], n, coalesce).map_groups(
+        apply, batch_format="pandas")
+
+
+def cogroup(left, right, on, right_on, fn, num_buckets: int | None = None):
+    """Two-input bucket cogroup, the one way two Datasets meet in a hash
+    bucket (joins, count attaches, paired evaluations): hash ``on`` of
+    ``left`` and ``right_on`` of ``right`` (a column name or a list of
+    them, same arity) into ``num_buckets`` buckets (default
+    ``default_num_buckets()``), ONE shuffle (``_bucket_shuffle``), and
+    ``fn(l: pa.Table, r: pa.Table)`` once per bucket; it returns a table
+    or a pandas frame.
+
+    Each side reaches ``fn`` with its own column names and types: the
+    tag map splits every batch by bucket and ships each slice as one
+    Arrow IPC stream, so nothing is renamed, null-padded or re-typed on
+    the way.  A side with no rows in a bucket arrives as a typed 0-row
+    table (every batch ships a slice, maybe empty, to every bucket; a
+    side with no rows at all takes its schema from ``ds.schema()``,
+    fetched only when no shuffle sits upstream — past one the fetch
+    would run that shuffle twice — else it arrives with no columns).
+    Keys hash by ``bucket_of``/``bucket_of_multi``, so an int32 key
+    meets its int64 twin.  One key's rows must fit a bucket (salt a
+    skewed key before calling)."""
+    n = num_buckets or default_num_buckets()
+    keys = [[k] if isinstance(k, str) else list(k) for k in (on, right_on)]
+    if len(keys[0]) != len(keys[1]):
+        raise ValueError("on and right_on must have the same arity")
+    empty = [_empty_side(left), _empty_side(right)]
+
+    def tag(side: int):
+        def apply(batch: pa.Table) -> pa.Table:
+            batch = batch.replace_schema_metadata(None)
+            b = _bucket_ids(batch, keys[side], n)
+            rows = batch.take(pa.array(np.argsort(b, kind="stable")))
+            ends = np.cumsum(np.bincount(b, minlength=n))
+            sink, offs = pa.BufferOutputStream(), [0]
+            for i in range(n):
+                lo = ends[i - 1] if i else 0
+                with pa.ipc.new_stream(sink, rows.schema) as w:
+                    w.write_table(rows.slice(lo, ends[i] - lo))
+                offs.append(sink.tell())
+            blobs = pa.LargeBinaryArray.from_buffers(
+                pa.large_binary(), n,
+                [None, pa.py_buffer(np.asarray(offs, np.int64)),
+                 sink.getvalue()])
+            return pa.table({
+                "__bucket": pa.array(np.arange(n, dtype=np.int64)),
+                "__side": pa.array(np.full(n, side, np.int8)),
+                "__rows": blobs,
+            })
+
+        return apply
+
+    def apply(g: pa.Table):
+        parts = ([], [])
+        blobs = g["__rows"].combine_chunks()
+        for i, s in enumerate(g["__side"].to_numpy()):
+            parts[s].append(pa.ipc.open_stream(blobs[i].as_buffer()).read_all())
+        l, r = (pa.concat_tables(p, promote_options="permissive") if p
+                else empty[s] for s, p in enumerate(parts))
+        return _as_arrow(fn(l, r))
+
+    return _bucket_shuffle([(left, tag(0)), (right, tag(1))], n).map_groups(
+        apply, batch_format="pyarrow")
+
+
+def _empty_side(ds) -> pa.Table:
+    """The typed 0-row table ``cogroup`` hands ``fn`` for a side with no
+    rows at all (see ``cogroup``)."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll,
+    )
+
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ops = [ds._logical_plan.dag]
+        while ops and not isinstance(ops[-1], AbstractAllToAll):
+            ops.extend(ops.pop().input_dependencies)
+        if not ops:
+            schema = ds.schema()
+    if schema is None:
+        return pa.table({})
+    base = getattr(schema, "base_schema", schema)
+    if isinstance(base, pa.Schema):
+        return base.empty_table()
+    # pandas blocks: Ray reports a column it cannot type (object dtype)
+    # as a python type
+    return pa.schema([(c, t if isinstance(t, pa.DataType) else pa.string())
+                      for c, t in zip(schema.names, schema.types)]).empty_table()
 
 
 def pairs_within_groups(df, key: str, val: str, max_block: int,

@@ -7,6 +7,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from kgray.ops.bloom import bloom_mask, build_bloom
+from kgray.ops import joins
 from kgray.ops.joins import semi_join
 
 
@@ -52,12 +53,13 @@ def _expected(left, right, anti):
 
 def test_bloom_semi_and_anti_match_pandas(ray_session, monkeypatch):
     monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")  # the big-big path
+    monkeypatch.setattr(joins, "BLOOM_BITS", 1 << 16)
     left, right = _sides()
     lds = rd.from_pandas(left, override_num_blocks=5)
     rds = rd.from_pandas(right, override_num_blocks=4)
     for anti in (False, True):
         got = (
-            semi_join(lds, rds, on="k", anti=anti, bloom_bits=1 << 16)
+            semi_join(lds, rds, on="k", anti=anti)
             .to_pandas()
             .sort_values(["k", "payload"])
             .reset_index(drop=True)
@@ -75,11 +77,11 @@ def test_bloom_exact_under_heavy_false_positives(ray_session, monkeypatch):
     # 256-bit filter over 3000 keys: nearly every probe is positive —
     # the exact residual join must still produce exact results
     monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")  # the big-big path
+    monkeypatch.setattr(joins, "BLOOM_BITS", 256)
     left, right = _sides(seed=91)
     lds = rd.from_pandas(left, override_num_blocks=3)
     rds = rd.from_pandas(right, override_num_blocks=3)
     for anti in (False, True):
-        got = semi_join(lds, rds, on="k", anti=anti,
-                        bloom_bits=256).to_pandas()
+        got = semi_join(lds, rds, on="k", anti=anti).to_pandas()
         want = _expected(left, right, anti)
         assert sorted(got["k"].tolist()) == sorted(want["k"].tolist()), anti

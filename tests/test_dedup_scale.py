@@ -361,18 +361,7 @@ def _embedding_table(n):
 
 
 def _near_dup_ops():
-    import pyarrow as pa
-
     from kgray.ops import dedup
-
-    def shingle_rows(batch):
-        rows = [(g, i) for i, t in zip(batch["doc_id"].to_pylist(),
-                                       batch["text"].to_pylist())
-                for g in dedup.word_shingles(t)]
-        return pa.table({
-            "shingle": pa.array([r[0] for r in rows], pa.string()),
-            "doc": pa.array([r[1] for r in rows], pa.int64()),
-        })
 
     return {
         "dup_ngram_stats": (_docs_table,
@@ -392,11 +381,6 @@ def _near_dup_ops():
                            lambda d: dedup.dup_span_purge(d, window=8)),
         "exact_dedup_groups": (_docs_table, dedup.exact_dedup_groups),
         "exact_dedup_keep": (_docs_table, dedup.exact_dedup_keep),
-        "set_jaccard_pairs_prefix": (
-            _docs_table,
-            lambda d: dedup.set_jaccard_pairs_prefix(
-                d.map_batches(shingle_rows, batch_format="pyarrow"),
-                tau=0.3)),
         "minhash_cross_pairs": (
             _docs_table, lambda d: dedup.minhash_cross_pairs(d, d)),
     }

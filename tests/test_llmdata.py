@@ -237,8 +237,8 @@ def _exploded_of(sets):
 @pytest.mark.parametrize("tau", [0.5, 0.8])
 @pytest.mark.parametrize("seed", [7, 11])
 def test_prefix_join_paths_agree(ray_session, tau, seed):
-    """PPJoin prefix path == inverted-index path == brute force."""
-    from kgray.ops.dedup import set_jaccard_pairs, set_jaccard_pairs_prefix
+    """The inverted-index path == brute force."""
+    from kgray.ops.dedup import set_jaccard_pairs
 
     sets = _random_sets(seed)
     exploded = _exploded_of(sets)
@@ -252,7 +252,6 @@ def test_prefix_join_paths_agree(ray_session, tau, seed):
             }
         )
     )
-    got_p = set_jaccard_pairs_prefix(exploded, tau=tau).to_pandas()
     got_i = set_jaccard_pairs(exploded, counts, n_items=len(sets),
                               tau=tau).to_pandas()
     key = lambda df: sorted(zip(df["u"], df["v"], df["jac"]))
@@ -263,19 +262,4 @@ def test_prefix_join_paths_agree(ray_session, tau, seed):
             j = len(sets[a] & sets[b]) / len(sets[a] | sets[b])
             if j >= tau:
                 brute.append((a, b, round(j, 4)))
-    assert key(got_p) == sorted(brute)
     assert key(got_i) == sorted(brute)
-
-
-def test_prefix_join_vocab_gate_auto_fallback(ray_session, monkeypatch):
-    """Above the vocab broadcast gate the prefix join must DELEGATE to
-    the inverted-index path (identical pairs), not raise."""
-    from kgray.ops.dedup import set_jaccard_pairs_prefix
-
-    sets = _random_sets(7)
-    exploded = _exploded_of(sets)
-    want = set_jaccard_pairs_prefix(exploded, tau=0.5).to_pandas()
-    monkeypatch.setenv("KGRAY_FORCE_DISTRIBUTED", "1")
-    got = set_jaccard_pairs_prefix(exploded, tau=0.5).to_pandas()
-    key = lambda df: sorted(zip(df["u"], df["v"], df["jac"]))
-    assert key(got) == key(want) and len(got) > 0
