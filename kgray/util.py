@@ -302,9 +302,14 @@ def _empty_side(ds) -> pa.Table:
 
     schema = ds.schema(fetch_if_missing=False)
     if schema is None:
-        ops = [ds._logical_plan.dag]
+        # each operator once: a plan that reuses a Dataset is a DAG, and
+        # walking it as a tree doubles the work per reuse
+        ops, seen = [ds._logical_plan.dag], set()
         while ops and not isinstance(ops[-1], AbstractAllToAll):
-            ops.extend(ops.pop().input_dependencies)
+            op = ops.pop()
+            if id(op) not in seen:
+                seen.add(id(op))
+                ops.extend(op.input_dependencies)
         if not ops:
             schema = ds.schema()
     if schema is None:

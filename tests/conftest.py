@@ -1,4 +1,47 @@
+import contextlib
+import faulthandler
+import signal
+
 import pytest
+
+# a test phase (setup, call or teardown) still running after this long
+# fails with every thread's stack on stderr: a stalled Ray job costs that
+# one test, not the whole run
+TEST_TIME_LIMIT_S = 600
+
+
+@contextlib.contextmanager
+def _time_limit(item, phase: str):
+    def expire(signum, frame):
+        faulthandler.dump_traceback(all_threads=True)
+        raise TimeoutError(
+            f"{item.nodeid} {phase} ran over {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    with _time_limit(item, "setup"):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    with _time_limit(item, "call"):
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    with _time_limit(item, "teardown"):
+        yield
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -16,5 +59,10 @@ def ray_session():
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
+    # no per-task memory poll thread: a map task's closing
+    # ``estimate_max_uss`` has waited forever on the lock that thread held
+    # (seen on a ReadParquet task of test_tpch_q10_matches_brute, the
+    # worker idle in a futex wait and the operator "backpressured:tasks")
+    ctx.memory_usage_poll_interval_s = None
     yield
     ray.shutdown()
