@@ -17,7 +17,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.util import cogroup, collect_table, fits_small
+from kgray.util import cogroup, collect_table, fits_small, schema_table
 
 
 def bucket_join(
@@ -45,9 +45,11 @@ def bucket_join(
     meets its int64 twin (both widen to int64).  Right columns whose
     names clash with left ones take ``right_suffix``; a right key named
     differently from its left key is dropped (the left key carries the
-    value).  A side with no rows and no schema has no nameable columns:
-    the join then keeps the other side's rows as they are when ``how``
-    keeps them, else gives no rows.
+    value).  Both sides' schemas are fetched up front (``ds.schema()``
+    runs a lazy side to its first block), so a side with no rows still
+    gives the output its typed columns; a side with no rows and no
+    schema has no nameable columns: the join then keeps the other side's
+    rows as they are when ``how`` keeps them, else gives no rows.
     """
     on_keys = [on] if isinstance(on, str) else list(on)
     r_keys = on_keys if right_on is None else (
@@ -58,8 +60,10 @@ def bucket_join(
         "inner": "inner", "outer": "full outer", "full_outer": "full outer",
     }[how]
     same_named = {r for l, r in zip(on_keys, r_keys) if l == r}
+    typed = [schema_table(ds.schema()) for ds in (left, right)]
 
     def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lt, rt = (t if t.num_columns else e for t, e in zip((lt, rt), typed))
         if not lt.num_columns or not rt.num_columns:
             kept = {"left outer": lt, "right outer": rt,
                     "full outer": lt if lt.num_columns else rt}
@@ -251,8 +255,12 @@ def asof_join(left, right, key: str, time_col: str,
     need salting by time range.
     """
     rt = right_time_col or time_col
+    # fetched up front: with no right rows, left rows still carry the
+    # right columns (null)
+    r_typed = schema_table(right.schema())
 
     def bucket_asof(lt: pa.Table, rtab: pa.Table) -> pa.Table:
+        rtab = rtab if rtab.num_columns else r_typed
         if not lt.num_columns or not rtab.num_columns:
             # a side with no rows and no schema: no right columns are
             # even nameable — left passes through

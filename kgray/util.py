@@ -47,10 +47,7 @@ def collect_table(ds) -> pa.Table:
 
     parts = ray.get(list(ds.to_arrow_refs()))
     if not parts:
-        schema = ds.schema()
-        schema = getattr(schema, "base_schema", schema)
-        return schema.empty_table() if isinstance(schema, pa.Schema) \
-            else pa.table({})
+        return schema_table(ds.schema())
     return pa.concat_tables([p for p in parts if p.num_rows] or parts,
                             promote_options="default")
 
@@ -243,10 +240,12 @@ def cogroup(left, right, on, right_on, fn, num_buckets: int | None = None):
     tag map splits every batch by bucket and ships each slice as one
     Arrow IPC stream, so nothing is renamed, null-padded or re-typed on
     the way.  A side with no rows in a bucket arrives as a typed 0-row
-    table (every batch ships a slice, maybe empty, to every bucket; a
-    side with no rows at all takes its schema from ``ds.schema()``,
-    fetched only when no shuffle sits upstream — past one the fetch
-    would run that shuffle twice — else it arrives with no columns).
+    table (every batch ships a slice, maybe empty, to every bucket).  A
+    side with no rows at all arrives as the 0-row table of the schema
+    Ray knows without running it (a materialized or read Dataset), else
+    with no columns: fetching it would run the side's upstream an extra
+    time, so a caller whose output must carry that side's columns
+    fetches them itself (``bucket_join``, ``asof_join``).
     Keys hash by ``bucket_of``/``bucket_of_multi``, so an int32 key
     meets its int64 twin.  One key's rows must fit a bucket (salt a
     skewed key before calling)."""
@@ -254,7 +253,9 @@ def cogroup(left, right, on, right_on, fn, num_buckets: int | None = None):
     keys = [[k] if isinstance(k, str) else list(k) for k in (on, right_on)]
     if len(keys[0]) != len(keys[1]):
         raise ValueError("on and right_on must have the same arity")
-    empty = [_empty_side(left), _empty_side(right)]
+    # a side's schema only when Ray knows it without running the side
+    empty = [schema_table(ds.schema(fetch_if_missing=False))
+             for ds in (left, right)]
 
     def tag(side: int):
         def apply(batch: pa.Table) -> pa.Table:
@@ -293,25 +294,9 @@ def cogroup(left, right, on, right_on, fn, num_buckets: int | None = None):
         apply, batch_format="pyarrow")
 
 
-def _empty_side(ds) -> pa.Table:
-    """The typed 0-row table ``cogroup`` hands ``fn`` for a side with no
-    rows at all (see ``cogroup``)."""
-    from ray.data._internal.logical.operators.all_to_all_operator import (
-        AbstractAllToAll,
-    )
-
-    schema = ds.schema(fetch_if_missing=False)
-    if schema is None:
-        # each operator once: a plan that reuses a Dataset is a DAG, and
-        # walking it as a tree doubles the work per reuse
-        ops, seen = [ds._logical_plan.dag], set()
-        while ops and not isinstance(ops[-1], AbstractAllToAll):
-            op = ops.pop()
-            if id(op) not in seen:
-                seen.add(id(op))
-                ops.extend(op.input_dependencies)
-        if not ops:
-            schema = ds.schema()
+def schema_table(schema) -> pa.Table:
+    """A Dataset schema (``Dataset.schema()``, maybe None) as a 0-row
+    Arrow table; None gives a table with no columns."""
     if schema is None:
         return pa.table({})
     base = getattr(schema, "base_schema", schema)

@@ -59,10 +59,5 @@ def ray_session():
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    # no per-task memory poll thread: a map task's closing
-    # ``estimate_max_uss`` has waited forever on the lock that thread held
-    # (seen on a ReadParquet task of test_tpch_q10_matches_brute, the
-    # worker idle in a futex wait and the operator "backpressured:tasks")
-    ctx.memory_usage_poll_interval_s = None
     yield
     ray.shutdown()

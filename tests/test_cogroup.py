@@ -208,3 +208,23 @@ def test_skew_join_typed_empty_right_matches_bucket_join(forced, how):
     want = bucket_join(left, right, on="k", how=how)
     got = skew_join(left, right, on="k", how=how)
     assert _typed(got) == _typed(want)
+
+
+def test_cogroup_runs_each_side_once(tmp_path):
+    """``cogroup`` never runs a lazy side ahead of its shuffle (a schema
+    fetch would run that side's first block an extra time): every map
+    call of each side happens once, in the shuffle itself."""
+    calls = str(tmp_path)
+
+    def counted(batch: pa.Table) -> pa.Table:
+        open(f"{calls}/{uuid.uuid4().hex}", "w").close()
+        return batch
+
+    lt = pa.table({"k": pa.array(range(8), pa.int64())})
+    side = lambda: rd.from_arrow([lt.slice(0, 4), lt.slice(4)]).map_batches(
+        counted, batch_format="pyarrow", batch_size=None)
+    out = cogroup(side(), side(), "k", "k",
+                  lambda l, r: pa.table({"n": [l.num_rows + r.num_rows]}),
+                  num_buckets=4)
+    assert sum(out.to_pandas()["n"]) == 16
+    assert len(list(tmp_path.iterdir())) == 4
