@@ -37,11 +37,13 @@ def _side(rng, n: int, kind: str, x_type: str) -> pa.Table:
 def _dataset(tbl: pa.Table, blocks: int):
     """``tbl`` as a Dataset of ``blocks`` blocks (many tiny ones when
     ``blocks`` is large); ``blocks == 0`` gives a schema-less empty side
-    (``Dataset.schema()`` is None)."""
+    (``Dataset.schema()`` is None).  A typed empty side is materialized:
+    ``cogroup`` types a side with no rows only from a schema Ray reports
+    without running the side."""
     if blocks == 0:
         return rd.range(1).filter(lambda r: False)
     if not tbl.num_rows:
-        return rd.from_arrow(tbl)
+        return rd.from_arrow(tbl).materialize()
     step = max(1, -(-tbl.num_rows // blocks))
     return rd.from_arrow([tbl.slice(i, step)
                           for i in range(0, tbl.num_rows, step)])
