@@ -9,7 +9,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 import ray.data as rd
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from kgray.ops.joins import bucket_join
@@ -92,6 +92,13 @@ def _seen_fn():
                      st.sampled_from([0, 1, 3, 40])),
     num_buckets=st.sampled_from([1, 4, 32]),
 )
+# typed-empty and schema-less sides every run, not only when drawn
+@example(seed=0, n_left=0, n_right=5, kinds=("int32", "int64"),
+         blocks=(1, 1), num_buckets=4)
+@example(seed=0, n_left=5, n_right=0, kinds=("string", "string"),
+         blocks=(3, 1), num_buckets=4)
+@example(seed=0, n_left=5, n_right=0, kinds=("int64", "int64"),
+         blocks=(1, 0), num_buckets=4)
 # no explain phase: its line tracing slows every Ray call ~100x
 @settings(max_examples=25, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
