@@ -242,7 +242,7 @@ def cogroup(left, right, on, right_on, fn, num_buckets: int | None = None):
     the way.  A side with no rows in a bucket arrives as a typed 0-row
     table (every batch ships a slice, maybe empty, to every bucket).  A
     side with no rows at all arrives as the 0-row table of the schema
-    Ray knows without running it (a materialized or read Dataset), else
+    Ray knows without running it (e.g. a materialized Dataset), else
     with no columns: fetching it would run the side's upstream an extra
     time, so a caller whose output must carry that side's columns
     fetches them itself (``bucket_join``, ``asof_join``).
@@ -253,7 +253,6 @@ def cogroup(left, right, on, right_on, fn, num_buckets: int | None = None):
     keys = [[k] if isinstance(k, str) else list(k) for k in (on, right_on)]
     if len(keys[0]) != len(keys[1]):
         raise ValueError("on and right_on must have the same arity")
-    # a side's schema only when Ray knows it without running the side
     empty = [schema_table(ds.schema(fetch_if_missing=False))
              for ds in (left, right)]
 
