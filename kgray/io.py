@@ -192,13 +192,10 @@ class _WriteSlices:
     ``pyarrow.fs`` URIs instead — the stat-row contract is unchanged."""
 
     def __init__(self, data_dir: str, stats_cols: tuple[str, ...] = (),
-                 bloom_cols: tuple[str, ...] = (),
-                 bloom_bits: int = BLOOM_BITS, bloom_k: int = BLOOM_K):
+                 bloom_cols: tuple[str, ...] = ()):
         self.data_dir = data_dir
         self.stats_cols = tuple(stats_cols)
         self.bloom_cols = tuple(bloom_cols)
-        self.bloom_bits = bloom_bits
-        self.bloom_k = bloom_k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -247,7 +244,7 @@ class _WriteSlices:
                 zmaxs[c].append(json.dumps(hi_v))
             for c in self.bloom_cols:
                 blooms[c].append(_bloom_b64(_bloom_slice_words(
-                    slice_tbl[c], self.bloom_bits, self.bloom_k)))
+                    slice_tbl[c], BLOOM_BITS, BLOOM_K)))
         sb64 = _schema_b64(tbl.schema)
         cols = {
             "part": pa.array(out["part"], pa.int64()),
@@ -317,7 +314,6 @@ def write_partitioned(
     keep_partitions: set[int] | None = None,
     stats_cols: tuple[str, ...] | list[str] = (),
     bloom_cols: tuple[str, ...] | list[str] = (),
-    bloom_bits: int = BLOOM_BITS,
     partitioner=None,
     partitioning_name: str = "hash",
 ) -> dict:
@@ -374,8 +370,7 @@ def write_partitioned(
 
         tagged = ds.map_batches(tag, batch_format="pyarrow")
     raw = tagged.map_batches(
-        _WriteSlices(data_dir, tuple(stats_cols), tuple(bloom_cols),
-                     bloom_bits),
+        _WriteSlices(data_dir, tuple(stats_cols), tuple(bloom_cols)),
         batch_format="pyarrow",
     ).to_pandas()
 
@@ -404,22 +399,23 @@ def write_partitioned(
                 hi = [v for v in [prev_hi, *maxs] if v is not None]
                 zones[c] = [min(lo, default=None), max(hi, default=None)]
             for c in bloom_cols:
-                words = np.zeros(bloom_bits // 64, np.uint64)
+                words = np.zeros(BLOOM_BITS // 64, np.uint64)
                 for s in g[f"bf_{c}"]:
                     words |= _bloom_words(s)
                 bl = e.setdefault("blooms", {})
                 prev_bl = bl.get(c)
                 if prev_bl is not None:
                     # kept-partition append: OR-merge, but only when the
-                    # filter geometry matches — else drop to absent
-                    # (absent never prunes, so this is always safe)
-                    if (int(prev_bl.get("bits", -1)) == bloom_bits
+                    # filter geometry matches (a manifest already on disk
+                    # may carry another) — else drop to absent (absent
+                    # never prunes, so this is always safe)
+                    if (int(prev_bl.get("bits", -1)) == BLOOM_BITS
                             and int(prev_bl.get("k", -1)) == BLOOM_K):
                         words |= _bloom_words(prev_bl["z"])
                     else:
                         bl[c] = None
                         continue
-                bl[c] = {"bits": bloom_bits, "k": BLOOM_K,
+                bl[c] = {"bits": BLOOM_BITS, "k": BLOOM_K,
                          "z": _bloom_b64(words)}
             # an entry that received NEW rows must not keep zone/bloom
             # stats for columns this write did not cover: the stale
@@ -1253,8 +1249,10 @@ def read_parquet_clean(path, columns: list[str] | None = None, **kwargs):
     operator then logs "Failed to hash the schemas").  A directory scans
     with the union of its files' footer schemas (footers only, no data
     pass), so a column present in only some files is kept and null-filled
-    elsewhere.  Falls back to a plain read when the footers can't be
-    inspected or unified."""
+    elsewhere; a column whose type differs between two files raises
+    ValueError naming both (``write_partitioned`` refuses such a write).
+    Falls back to a plain read when the footers can't be read or a
+    projected column is in none of them."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -1271,9 +1269,31 @@ def read_parquet_clean(path, columns: list[str] | None = None, **kwargs):
             files = [os.path.join(path, f) for f in sorted(os.listdir(path))
                      if f.endswith(".parquet")]
         footers = [pq.read_schema(f).remove_metadata() for f in files]
-        sch = pa.unify_schemas(footers)
-        for c in columns or ():
-            sch.field(c)  # an unknown column takes the plain read below
-    except Exception:
+    except (OSError, TypeError, pa.ArrowException):
+        footers = []  # not local parquet footers (e.g. a list of paths)
+    if not footers:
         return rd.read_parquet(path, columns=columns, **kwargs)
+    sch = _unify_footers(files, footers)
+    if any(c not in sch.names for c in columns or ()):
+        return rd.read_parquet(path, columns=columns, **kwargs)  # Ray's error
     return _scan(path, columns, sch, footers, **kwargs)
+
+
+def _unify_footers(files: list[str], footers: list[pa.Schema]) -> pa.Schema:
+    """Union of the files' footer schemas.  A column typed differently in
+    two files (a null-typed column merges with any type) raises
+    ValueError naming the column and both files."""
+    try:
+        return pa.unify_schemas(footers)
+    except pa.ArrowTypeError:
+        first: dict[str, tuple[str, pa.DataType]] = {}
+        for f, sch in zip(files, footers):
+            for field in sch:
+                if pa.types.is_null(field.type):
+                    continue
+                f0, t0 = first.setdefault(field.name, (f, field.type))
+                if t0 != field.type:
+                    raise ValueError(
+                        f"column {field.name!r} is {t0} in {f0} but "
+                        f"{field.type} in {f}") from None
+        raise

@@ -50,10 +50,25 @@ class CueClassifier:
         for sid, cue in enumerate(self.cues):
             hit = pc.match_substring(text, cue).to_numpy(zero_copy_only=False)
             mat[:, sid] = hit
-        scores = pa.FixedSizeListArray.from_arrays(
-            pa.array(mat.reshape(-1), pa.float32()), NUM_SCHEMAS
-        )
-        return batch.append_column(SCORES_COL, scores)
+        return with_scores(batch, mat)
+
+
+def with_scores(batch: pa.Table, mat: np.ndarray) -> pa.Table:
+    """``batch`` plus the stage-1 ``scores`` column built from an
+    (n, NUM_SCHEMAS) score matrix: one fixed_size_list<float32>[50] per
+    row.  The one writer of the column every scorer appends."""
+    flat = pa.array(np.asarray(mat, np.float32).reshape(-1), pa.float32())
+    return batch.append_column(
+        SCORES_COL, pa.FixedSizeListArray.from_arrays(flat, NUM_SCHEMAS))
+
+
+def scores_matrix(batch: pa.Table) -> np.ndarray:
+    """The ``scores`` column back as an (n, NUM_SCHEMAS) matrix."""
+    col = batch[SCORES_COL]
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.flatten().to_numpy(zero_copy_only=False).reshape(
+        len(batch), NUM_SCHEMAS)
 
 
 def threshold_and_fallback(
@@ -69,10 +84,7 @@ def threshold_and_fallback(
     (prepare_data_for_labeling_infer.py:22-33).
     """
     n = len(batch)
-    scores_col = batch[SCORES_COL]
-    if isinstance(scores_col, pa.ChunkedArray):
-        scores_col = scores_col.combine_chunks()
-    mat = scores_col.flatten().to_numpy(zero_copy_only=False).reshape(n, NUM_SCHEMAS)
+    mat = scores_matrix(batch)
 
     pos = mat >= threshold
     empty = ~pos.any(axis=1)
@@ -90,8 +102,7 @@ def threshold_and_fallback(
     pred = pa.ListArray.from_arrays(
         pa.array(offsets), pa.array(sids.astype(np.int32), pa.int32())
     )
-    out = batch.drop_columns([SCORES_COL]).append_column(PRED_COL, pred)
-    return out
+    return batch.drop_columns([SCORES_COL]).append_column(PRED_COL, pred)
 
 
 def fanout(batch: pa.Table, keep_cols: tuple[str, ...] = ("doc_id", "text")) -> pa.Table:

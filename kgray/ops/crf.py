@@ -12,18 +12,24 @@ reference's fastNLP CRF (/root/reference/labeling/crf.py):
   backtrace via the modular index trick for variable-length rows).
 
 ``ViterbiTagDecoder`` packages the constrained matrix as per-actor state;
-``CrfLabeler`` plugs it into the stage-2 labeler slot: template emissions
-become one-hot scores, Viterbi picks the best BIESO-legal path (identity
-on legal inputs, nearest legal repair on corrupted ones), and the shared
-codec (decode_tags/assemble_spo) turns tags into triples — so the decode
-path the reference runs after its BiLSTM (predict.py:50-81) is exercised
-end-to-end.
+``ViterbiLabeler`` plugs it into the stage-2 labeler slot for every model
+that scores tags per position (this module's ``CrfLabeler``, the labeler
+ensemble, the numpy BiLSTM/transformer): the model's scores go through
+Viterbi, which picks the best BIESO-legal path, and the shared codec
+(decode_tags/assemble_spo) turns tags into triples — so the decode path
+the reference runs after its BiLSTM (predict.py:50-81) is exercised
+end-to-end.  ``CrfLabeler``'s scores are one-hot template emissions
+(Viterbi is the identity on legal inputs, nearest legal repair on
+corrupted ones).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from kgray.ops.label import TemplateLabeler, triples_table
+from kgray.ops.tagging import decode_tags
 
 NEG = -10000.0
 
@@ -186,7 +192,7 @@ BIESO_TAGS: dict[int, str] = {
     1: "B-SUB", 2: "I-SUB", 3: "E-SUB", 4: "S-SUB",
     5: "B-OBJ", 6: "I-OBJ", 7: "E-OBJ", 8: "S-OBJ",
 }
-_TAG2ID = {t: i for i, t in BIESO_TAGS.items()}
+TAG2ID = {t: i for i, t in BIESO_TAGS.items()}
 
 
 class ViterbiTagDecoder:
@@ -217,7 +223,7 @@ def one_hot_scores(
     """Pad a batch of tag-string rows into (B, Lmax, T) one-hot scores +
     (B, Lmax) mask — the deterministic 'emission' bridge from the template
     labeler into the CRF decode path."""
-    t2i = tag2id or _TAG2ID
+    t2i = tag2id or TAG2ID
     B = len(tag_rows)
     L = max((len(r) for r in tag_rows), default=0)
     T = len(t2i)
@@ -230,7 +236,37 @@ def one_hot_scores(
     return logits, mask
 
 
-class CrfLabeler:
+class ViterbiLabeler:
+    """Stage-2 labeler slot for every model that scores tags per position.
+
+    A subclass supplies only ``scores(texts, sids) -> (logits (B, L, T),
+    mask (B, L))`` over ``BIESO_TAGS``; ``__call__`` runs it on the
+    batch's non-empty rows, decodes ONCE through the constrained Viterbi
+    and turns the tag strings into triples through the shared codec
+    (decode_tags -> triples_table), the decode path the reference runs
+    after its BiLSTM (labeling/predict.py:50-81).  The output is always
+    BIESO-legal, whatever the scores."""
+
+    def __init__(self, encoding_type: str = "bieso"):
+        self.decoder = ViterbiTagDecoder(BIESO_TAGS, encoding_type)
+
+    def scores(self, texts: list[str], sids: list[int]):
+        raise NotImplementedError
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        texts = batch["text"].to_pylist()
+        sids = batch["schema_id"].to_pylist()
+        spans: list[tuple[list[str], list[str]]] = [([], [])] * len(texts)
+        nonempty = [i for i, t in enumerate(texts) if t]
+        if nonempty:
+            logits, mask = self.scores(
+                [texts[i] for i in nonempty], [sids[i] for i in nonempty])
+            for i, tags in zip(nonempty, self.decoder.decode(logits, mask)):
+                spans[i] = decode_tags(tags, texts[i])
+        return triples_table(batch["doc_id"].to_pylist(), sids, spans)
+
+
+class CrfLabeler(ViterbiLabeler):
     """Stage-2 labeler running the FULL reference decode chain: template
     emission scores -> constrained Viterbi -> tag strings -> decode_tags ->
     assemble_spo.  On legal emissions the Viterbi path is the identity
@@ -240,39 +276,10 @@ class CrfLabeler:
     decoder."""
 
     def __init__(self, encoding_type: str = "bieso"):
-        from kgray.ops.label import TemplateLabeler
-
+        super().__init__(encoding_type)
         self.emitter = TemplateLabeler(encoding_type)
-        self.decoder = ViterbiTagDecoder(BIESO_TAGS, encoding_type)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from kgray.ops.tagging import assemble_spo, decode_tags
-        from kgray.schema import SCHEMAS, TRIPLES
-
-        doc_ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        sids = batch["schema_id"].to_pylist()
-
-        tag_rows = [
+    def scores(self, texts: list[str], sids: list[int]):
+        return one_hot_scores([
             self.emitter.predict_tags(t, sid) for t, sid in zip(texts, sids)
-        ]
-        nonempty = [i for i, r in enumerate(tag_rows) if r]
-        decoded: dict[int, list[str]] = {}
-        if nonempty:
-            logits, mask = one_hot_scores([tag_rows[i] for i in nonempty])
-            for i, tags in zip(nonempty, self.decoder.decode(logits, mask)):
-                decoded[i] = tags
-
-        out: dict[str, list] = {name: [] for name in TRIPLES.names}
-        for i, (doc_id, text, sid) in enumerate(zip(doc_ids, texts, sids)):
-            subs, objs = decode_tags(decoded.get(i, []), text)
-            schema = SCHEMAS[sid]
-            for spo in assemble_spo(
-                subs, objs, sid, schema.subject_type, schema.predicate,
-                schema.object_type,
-            ):
-                out["doc_id"].append(doc_id)
-                for k in ("subject", "subject_type", "predicate", "object",
-                          "object_type", "schema_id"):
-                    out[k].append(spo[k])
-        return pa.table(out, schema=TRIPLES)
+        ])

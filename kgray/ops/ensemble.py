@@ -25,8 +25,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from kgray.ops.classify import SCORES_COL
+from kgray.ops.classify import CueClassifier, scores_matrix, with_scores
+from kgray.ops.crf import BIESO_TAGS, TAG2ID, ViterbiLabeler
+from kgray.ops.label import TemplateLabeler
 from kgray.schema import NUM_SCHEMAS
+from kgray.templates import CUES
 
 
 class CharOverlapClassifier:
@@ -36,8 +39,6 @@ class CharOverlapClassifier:
     work.  Vectorized: one match_substring kernel per distinct cue char."""
 
     def __init__(self, text_col: str = "text"):
-        from kgray.templates import CUES
-
         self.text_col = text_col
         self.cue_chars: list[list[str]] = [
             sorted(set(CUES[i])) for i in range(NUM_SCHEMAS)
@@ -58,17 +59,7 @@ class CharOverlapClassifier:
             for c in chars:
                 acc += hit[c]
             mat[:, sid] = acc / max(len(chars), 1)
-        scores = pa.FixedSizeListArray.from_arrays(
-            pa.array(mat.reshape(-1), pa.float32()), NUM_SCHEMAS
-        )
-        return batch.append_column(SCORES_COL, scores)
-
-
-def _scores_matrix(tbl: pa.Table, n: int) -> np.ndarray:
-    col = tbl[SCORES_COL]
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    return col.flatten().to_numpy(zero_copy_only=False).reshape(n, NUM_SCHEMAS)
+        return with_scores(batch, mat)
 
 
 class EnsembleClassifier:
@@ -84,8 +75,6 @@ class EnsembleClassifier:
     def __init__(self, members: list | None = None,
                  weights: list[float] | None = None,
                  text_col: str = "text"):
-        from kgray.ops.classify import CueClassifier
-
         factories = members or [CueClassifier, CharOverlapClassifier]
         self.members = [
             f(text_col=text_col) if isinstance(f, type) else f
@@ -97,19 +86,14 @@ class EnsembleClassifier:
         self.weights = np.asarray(w, np.float32)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        acc = np.zeros((n, NUM_SCHEMAS), np.float32)
+        acc = np.zeros((len(batch), NUM_SCHEMAS), np.float32)
         for member, w in zip(self.members, self.weights):
-            scored = member(batch)
-            acc += w * _scores_matrix(scored, n)
+            acc += w * scores_matrix(member(batch))
         acc /= self.weights.sum()
-        scores = pa.FixedSizeListArray.from_arrays(
-            pa.array(acc.reshape(-1), pa.float32()), NUM_SCHEMAS
-        )
-        return batch.append_column(SCORES_COL, scores)
+        return with_scores(batch, acc)
 
 
-class EnsembleCrfLabeler:
+class EnsembleCrfLabeler(ViterbiLabeler):
     """A7: members emit per-position tag scores for the same fan-out rows;
     the weighted average decodes ONCE through the constrained Viterbi and
     the shared codec (labeling/ensemble.py:126-166 shape).
@@ -122,9 +106,7 @@ class EnsembleCrfLabeler:
     def __init__(self, members: list | None = None,
                  weights: list[float] | None = None,
                  encoding_type: str = "bieso"):
-        from kgray.ops.crf import BIESO_TAGS, ViterbiTagDecoder
-        from kgray.ops.label import TemplateLabeler
-
+        super().__init__(encoding_type)
         factories = members or [TemplateLabeler, TemplateLabeler]
         self.members = [
             f(encoding_type) if isinstance(f, type) else f for f in factories
@@ -133,53 +115,18 @@ class EnsembleCrfLabeler:
         if len(w) != len(self.members):
             raise ValueError("weights must match members")
         self.weights = np.asarray(w, np.float64)
-        self.decoder = ViterbiTagDecoder(BIESO_TAGS, encoding_type)
-        self.tag2id = {t: i for i, t in BIESO_TAGS.items()}
 
-    def _combined_scores(
+    def scores(
         self, texts: list[str], sids: list[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         B = len(texts)
         L = max((len(t) for t in texts), default=0)
-        T = len(self.tag2id)
-        logits = np.zeros((B, max(L, 1), T), np.float64)
+        logits = np.zeros((B, max(L, 1), len(BIESO_TAGS)), np.float64)
         mask = np.zeros((B, max(L, 1)), bool)
         for b, (text, sid) in enumerate(zip(texts, sids)):
             mask[b, : len(text)] = True
             for member, w in zip(self.members, self.weights):
-                tags = member.predict_tags(text, sid)
-                ids = [self.tag2id[t] for t in tags]
+                ids = [TAG2ID[t] for t in member.predict_tags(text, sid)]
                 logits[b, np.arange(len(ids)), ids] += w
         logits /= self.weights.sum()
         return logits, mask
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from kgray.ops.tagging import assemble_spo, decode_tags
-        from kgray.schema import SCHEMAS, TRIPLES
-
-        doc_ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        sids = batch["schema_id"].to_pylist()
-
-        nonempty = [i for i, t in enumerate(texts) if t]
-        decoded: dict[int, list[str]] = {}
-        if nonempty:
-            logits, mask = self._combined_scores(
-                [texts[i] for i in nonempty], [sids[i] for i in nonempty]
-            )
-            for i, tags in zip(nonempty, self.decoder.decode(logits, mask)):
-                decoded[i] = tags
-
-        out: dict[str, list] = {name: [] for name in TRIPLES.names}
-        for i, (doc_id, text, sid) in enumerate(zip(doc_ids, texts, sids)):
-            subs, objs = decode_tags(decoded.get(i, []), text)
-            schema = SCHEMAS[sid]
-            for spo in assemble_spo(
-                subs, objs, sid, schema.subject_type, schema.predicate,
-                schema.object_type,
-            ):
-                out["doc_id"].append(doc_id)
-                for k in ("subject", "subject_type", "predicate", "object",
-                          "object_type", "schema_id"):
-                    out[k].append(spo[k])
-        return pa.table(out, schema=TRIPLES)

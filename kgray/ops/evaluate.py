@@ -192,30 +192,6 @@ def predicate_set_rates(pred_ds, gold_ds) -> pa.Table:
     )
 
 
-def tag_spans(tags: list[str]) -> set[tuple[str, int, int]]:
-    """(role, start, end) span set from a BIESO tag sequence — the span
-    extraction underlying fastNLP's SpanFPreRecMetric (the reference's
-    training metric, labeling/train.py:78).  Pairing rules mirror
-    decode_tags: S is a singleton, each E closes the last open B, a
-    dangling E is dropped."""
-    spans: set[tuple[str, int, int]] = set()
-    start: int | None = None
-    for i, lab in enumerate(tags):
-        if lab == "O":
-            continue
-        head = lab[0]
-        role = lab[2:]
-        if head == "S":
-            spans.add((role, i, i))
-        elif head == "B":
-            start = i
-        elif head == "E":
-            if start is not None:
-                spans.add((role, start, i))
-                start = None
-    return spans
-
-
 def span_prf1(sentences, labeler=None, encoding_type: str = "bieso") -> pa.Table:
     """G7: span-level micro P/R/F1 of predicted vs golden tag sequences.
 
@@ -225,7 +201,7 @@ def span_prf1(sentences, labeler=None, encoding_type: str = "bieso") -> pa.Table
     Per-batch partial sums -> three scalars -> one row (the fastNLP
     SpanFPreRecMetric shape, computed as dataflow)."""
     from kgray.ops.label import TemplateLabeler
-    from kgray.ops.tagging import bieso_tags
+    from kgray.ops.tagging import bieso_tags, tag_spans
     from kgray.schema import CONCAT_TO_ID
 
     lab = labeler or TemplateLabeler(encoding_type)
@@ -245,8 +221,9 @@ def span_prf1(sentences, labeler=None, encoding_type: str = "bieso") -> pa.Table
                 sid = CONCAT_TO_ID.get(concat)
                 if sid is None:
                     continue
-                gold = tag_spans(bieso_tags(concat, text, spo_list, encoding_type))
-                pred = tag_spans(lab.predict_tags(text, sid))
+                gold = set(tag_spans(
+                    bieso_tags(concat, text, spo_list, encoding_type)))
+                pred = set(tag_spans(lab.predict_tags(text, sid)))
                 tp += len(gold & pred)
                 pred_n += len(pred)
                 gold_n += len(gold)

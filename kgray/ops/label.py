@@ -7,6 +7,8 @@ weights) is built once per actor; each batch of fan-out rows
 (doc_id, text, schema_id) yields BIESO tag sequences, which flow through
 the *real* codec path — decode_tags (labeling/predict.py:50-71) and
 assemble_spo (labeling/predict.py:74-81) — to triple rows.
+``triples_table`` is that assembly, the one every labeler ends in (the
+Viterbi labelers of ``kgray.ops.crf`` too).
 
 The labeler is pluggable: anything with ``predict_tags(text, schema_id) ->
 list[str]`` works (mirroring the reference's task_names model dispatch,
@@ -30,6 +32,7 @@ from kgray.ops.tagging import (
     R_SUB,
     assemble_spo,
     decode_marks,
+    decode_tags,
     find_all,
     mark_span_np,
     tags_for_pairs,
@@ -114,34 +117,29 @@ class TemplateLabeler:
                 for i in o_idx:
                     mark_span_np(kind, role, base + i, len(obj), R_OBJ, enc)
 
-        decoded = decode_marks(kind, role, offsets, texts)
-        out: dict[str, list] = {name: [] for name in TRIPLES.names}
-        for doc_id, sid, (subs, objs) in zip(doc_ids, sids, decoded):
-            schema = SCHEMAS[sid]
-            for spo in assemble_spo(
-                subs, objs, sid, schema.subject_type, schema.predicate,
-                schema.object_type,
-            ):
-                out["doc_id"].append(doc_id)
-                for k in ("subject", "subject_type", "predicate", "object",
-                          "object_type", "schema_id"):
-                    out[k].append(spo[k])
-        return pa.table(out, schema=TRIPLES)
+        return triples_table(
+            doc_ids, sids, decode_marks(kind, role, offsets, texts))
 
     def _call_scalar(self, doc_ids, texts, sids) -> pa.Table:
-        from kgray.ops.tagging import decode_tags
+        return triples_table(doc_ids, sids, [
+            decode_tags(self.predict_tags(text, sid), text)
+            for text, sid in zip(texts, sids)
+        ])
 
-        out: dict[str, list] = {name: [] for name in TRIPLES.names}
-        for doc_id, text, sid in zip(doc_ids, texts, sids):
-            tags = self.predict_tags(text, sid)
-            subs, objs = decode_tags(tags, text)
-            schema = SCHEMAS[sid]
-            for spo in assemble_spo(
-                subs, objs, sid, schema.subject_type, schema.predicate,
-                schema.object_type,
-            ):
-                out["doc_id"].append(doc_id)
-                for k in ("subject", "subject_type", "predicate", "object",
-                          "object_type", "schema_id"):
-                    out[k].append(spo[k])
-        return pa.table(out, schema=TRIPLES)
+
+def triples_table(doc_ids: list, sids: list[int],
+                  spans: list[tuple[list[str], list[str]]]) -> pa.Table:
+    """Per-row (subjects, objects) span lists -> ``schema.TRIPLES`` rows:
+    the one SPO assembly of every labeler (``assemble_spo``'s deduped
+    cartesian product, typed by the row's schema)."""
+    out: dict[str, list] = {name: [] for name in TRIPLES.names}
+    for doc_id, sid, (subs, objs) in zip(doc_ids, sids, spans):
+        schema = SCHEMAS[sid]
+        for spo in assemble_spo(
+            subs, objs, sid, schema.subject_type, schema.predicate,
+            schema.object_type,
+        ):
+            out["doc_id"].append(doc_id)
+            for k, v in spo.items():
+                out[k].append(v)
+    return pa.table(out, schema=TRIPLES)

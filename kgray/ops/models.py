@@ -18,37 +18,14 @@ Every class documents its flat ``.npz`` checkpoint spec in
 ``save()``/the class docstring — the landing pad a trained reference
 checkpoint converts into (the convert_tf_checkpoint_to_pytorch.py:30-41
 kind of artifact prep), round-trip-tested in tests/test_models.py.
-
-The torch classes below raise NotImplementedError from __init__ until
-torch is importable — their CONTRACT (constructor signature, __call__
-batch shape, output columns) is identical, so at deploy time the only
-change is ``PipelineConfig(classifier_cls=CnnPredicateScorer,
-labeler_cls=BiLstmCrfLabeler, execution="actors")`` plus ``num_gpus`` on
-the stage.  Architecture shapes mirror the reference:
-
-* CnnPredicateScorer — char-embed 128, kernels (3,4,5)x128, sigmoid over
-  50 schemas (/root/reference/classification/model.py:7-31, config.py:23-31)
-* BiLstmCrfLabeler   — char/word/pos embeds 64 + schema one-hot 50 ->
-  2-layer BiLSTM(128) -> FC -> CRF with BIESO-legal transitions
-  (/root/reference/labeling/model.py:14-162, crf.py:12-160)
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 
-try:  # pragma: no cover - torch not shipped in this container
-    import torch  # noqa: F401
-
-    HAVE_TORCH = True
-except ImportError:
-    HAVE_TORCH = False
-
-_MSG = (
-    "torch is not available in this environment; use the deterministic "
-    "CueClassifier/TemplateLabeler, or install torch and load weights via "
-    "the checkpoint_path argument"
-)
+from kgray.ops.classify import with_scores
+from kgray.ops.crf import BIESO_TAGS, ViterbiLabeler
 
 
 class NumpyCnnScorer:
@@ -138,16 +115,7 @@ class NumpyCnnScorer:
         return (1.0 / (1.0 + np.exp(-logits))).astype(np.float32)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from kgray.ops.classify import SCORES_COL
-
-        texts = batch[self.text_col].to_pylist()
-        mat = self.forward(texts)
-        scores = pa.FixedSizeListArray.from_arrays(
-            pa.array(mat.reshape(-1), pa.float32()), mat.shape[1]
-        )
-        return batch.append_column(SCORES_COL, scores)
+        return with_scores(batch, self.forward(batch[self.text_col].to_pylist()))
 
 
 def cue_distilled_weights():
@@ -184,7 +152,7 @@ def cue_distilled_weights():
     return char2id, embed, kernels, fc_w, fc_b
 
 
-class NumpyBiLstmCrfLabeler:
+class NumpyBiLstmCrfLabeler(ViterbiLabeler):
     """A4-A6 executable without torch: a numpy BiLSTM forward with the
     reference labeler's architecture shape (char embedding + schema
     one-hot -> 1-layer bidirectional LSTM -> FC over 9 BIESO tags ->
@@ -194,9 +162,9 @@ class NumpyBiLstmCrfLabeler:
     Weights load from an ``.npz`` checkpoint or initialize from a seeded
     RNG (untrained: output tags are arbitrary but always BIESO-LEGAL
     because the decode is the constrained Viterbi — the execution path a
-    trained checkpoint would use, exercised end-to-end).  Emits the
-    TRIPLES schema exactly like TemplateLabeler, so it drops into
-    ``PipelineConfig(labeler_cls=...)`` unchanged.
+    trained checkpoint would use, exercised end-to-end).  Supplies only
+    ``scores``; ``ViterbiLabeler.__call__`` emits the TRIPLES schema, so
+    it drops into ``PipelineConfig(labeler_cls=...)`` unchanged.
     """
 
     def __init__(self, checkpoint_path: str | None = None,
@@ -204,20 +172,12 @@ class NumpyBiLstmCrfLabeler:
                  encoding_type: str = "bieso"):
         import numpy as np
 
-        from kgray.ops.crf import BIESO_TAGS, ViterbiTagDecoder
         from kgray.schema import NUM_SCHEMAS
 
+        super().__init__(encoding_type)
         self.n_tags = len(BIESO_TAGS)
-        self.decoder = ViterbiTagDecoder(BIESO_TAGS, encoding_type)
         if checkpoint_path is not None:
-            ckpt = np.load(checkpoint_path, allow_pickle=True)
-            self.w = {k: ckpt[k] for k in ckpt.files if k != "chars"}
-            # "chars" is optional: absent -> hashed char vocab (the seeded
-            # default); present -> explicit char->id table (id = index+1)
-            self.char2id = (
-                {c: i + 1 for i, c in enumerate(ckpt["chars"].tolist())}
-                if "chars" in ckpt.files else None
-            )
+            self.w, self.char2id = _load_char_checkpoint(checkpoint_path)
         else:
             rs = np.random.RandomState(seed)
             V = 4099  # hashed char vocab (unseen chars bucket by hash)
@@ -235,8 +195,7 @@ class NumpyBiLstmCrfLabeler:
             self.char2id = None  # hashed ids
 
     def save(self, path: str) -> None:
-        """Write the ``.npz`` checkpoint spec this class (and the torch
-        ``BiLstmCrfLabeler`` slot) loads: flat arrays
+        """Write the ``.npz`` checkpoint spec this class loads: flat arrays
 
         - ``embed`` (V, D) char embedding (id 0 = pad/unk);
         - ``fw_Wx``/``bw_Wx`` (D+50, 4H), ``fw_Wh``/``bw_Wh`` (H, 4H),
@@ -316,36 +275,18 @@ class NumpyBiLstmCrfLabeler:
         feats = np.concatenate([fw, bw], axis=2)
         return feats @ self.w["fc_w"] + self.w["fc_b"], mask
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from kgray.ops.tagging import assemble_spo, decode_tags
-        from kgray.schema import SCHEMAS, TRIPLES
 
-        doc_ids = batch["doc_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        sids = batch["schema_id"].to_pylist()
+def _load_char_checkpoint(path: str) -> tuple[dict, dict | None]:
+    """(weights, char2id) of a labeler ``.npz`` checkpoint.  "chars" is
+    optional: absent -> hashed char vocab (the seeded default, char2id
+    None); present -> explicit char->id table (id = index+1)."""
+    import numpy as np
 
-        nonempty = [i for i, t in enumerate(texts) if t]
-        decoded: dict[int, list[str]] = {}
-        if nonempty:
-            logits, mask = self.scores(
-                [texts[i] for i in nonempty], [sids[i] for i in nonempty]
-            )
-            for i, tags in zip(nonempty, self.decoder.decode(logits, mask)):
-                decoded[i] = tags
-
-        out: dict[str, list] = {name: [] for name in TRIPLES.names}
-        for i, (doc_id, text, sid) in enumerate(zip(doc_ids, texts, sids)):
-            subs, objs = decode_tags(decoded.get(i, []), text)
-            schema = SCHEMAS[sid]
-            for spo in assemble_spo(
-                subs, objs, sid, schema.subject_type, schema.predicate,
-                schema.object_type,
-            ):
-                out["doc_id"].append(doc_id)
-                for k in ("subject", "subject_type", "predicate", "object",
-                          "object_type", "schema_id"):
-                    out[k].append(spo[k])
-        return pa.table(out, schema=TRIPLES)
+    ckpt = np.load(path, allow_pickle=True)
+    w = {k: ckpt[k] for k in ckpt.files if k != "chars"}
+    char2id = ({c: i + 1 for i, c in enumerate(ckpt["chars"].tolist())}
+               if "chars" in ckpt.files else None)
+    return w, char2id
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +437,13 @@ class NumpyTransformerCrfLabeler(NumpyBiLstmCrfLabeler):
                  value_size: int = 64, inner_size: int = 256):
         import numpy as np
 
-        from kgray.ops.crf import BIESO_TAGS, ViterbiTagDecoder
         from kgray.schema import NUM_SCHEMAS
 
+        ViterbiLabeler.__init__(self, encoding_type)
         self.n_tags = len(BIESO_TAGS)
         self.num_head = num_head
-        self.decoder = ViterbiTagDecoder(BIESO_TAGS, encoding_type)
         if checkpoint_path is not None:
-            ckpt = np.load(checkpoint_path, allow_pickle=True)
-            self.w = {k: ckpt[k] for k in ckpt.files if k != "chars"}
-            self.char2id = (
-                {c: i + 1 for i, c in enumerate(ckpt["chars"].tolist())}
-                if "chars" in ckpt.files else None
-            )
+            self.w, self.char2id = _load_char_checkpoint(checkpoint_path)
         else:
             rs = np.random.RandomState(seed)
             V = 4099  # hashed char vocab, as the BiLSTM default
@@ -694,60 +629,5 @@ class NumpyBertScorer:
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from kgray.ops.classify import SCORES_COL
+        return with_scores(batch, self.forward(batch[self.text_col].to_pylist()))
 
-        texts = batch[self.text_col].to_pylist()
-        mat = self.forward(texts)
-        scores = pa.FixedSizeListArray.from_arrays(
-            pa.array(mat.reshape(-1), pa.float32()), mat.shape[1]
-        )
-        return batch.append_column(SCORES_COL, scores)
-
-
-class CnnPredicateScorer:
-    """Stage-1 slot: text batch -> + scores list<float32>[50].
-
-    Actor-pool stage: weights load ONCE per actor in __init__ (the
-    stateful-stage pattern, SURVEY.md §2.3 A1); __call__ is pure per
-    batch and must append the same ``scores`` column CueClassifier does
-    (kgray/ops/classify.py), so threshold_and_fallback composes unchanged.
-    """
-
-    def __init__(self, checkpoint_path: str | None = None,
-                 text_col: str = "text", device: str = "cpu"):
-        if not HAVE_TORCH:  # pragma: no cover
-            raise NotImplementedError(_MSG)
-        raise NotImplementedError(
-            "torch slot: wire torch.load(checkpoint_path) -> embed(128) -> "
-            "convs(3/4/5 x128) -> maxpool -> fc(50) -> sigmoid; converted "
-            "checkpoints use the NumpyCnnScorer.save npz spec (chars/embed/"
-            "conv_w_k/conv_b_k/conv_map_k/fc_w/fc_b)"
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # pragma: no cover
-        raise NotImplementedError(_MSG)
-
-
-class BiLstmCrfLabeler:
-    """Stage-2 slot: fan-out batch (doc_id, text, schema_id) -> triple rows.
-
-    Must emit the TRIPLES schema exactly as TemplateLabeler does — the
-    model produces BIESO tag ids, then the SHARED codec path
-    (kgray.ops.tagging.decode_tags / assemble_spo) turns them into rows,
-    so parity with the reference decoder is inherited, not re-implemented.
-    """
-
-    def __init__(self, checkpoint_path: str | None = None,
-                 encoding_type: str = "bieso", device: str = "cpu"):
-        if not HAVE_TORCH:  # pragma: no cover
-            raise NotImplementedError(_MSG)
-        raise NotImplementedError(
-            "torch slot: wire embeds(char/word/pos 64) + schema one-hot -> "
-            "LayerNorm -> BiLSTM(128, 2 layers) -> FC -> CRF viterbi with "
-            "BIESO transition constraints; converted checkpoints use the "
-            "NumpyBiLstmCrfLabeler.save npz spec (embed/fw_*/bw_*/fc_*"
-            "[/chars])"
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:  # pragma: no cover
-        raise NotImplementedError(_MSG)

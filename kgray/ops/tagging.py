@@ -7,8 +7,9 @@ Reimplements (from behavior, not code):
                       including the subject==object odd-occurrence rule
                       (lines 25-26) and the 1/2/n-char span shapes
                       (lines 29-49); identical copy in pytorch/labeling.
+* ``tag_spans``     — the one BIESO span walk, labeling/predict.py:50-71;
 * ``decode_tags``   — M12 tag-seq -> (subjects, objects) span decoder,
-                      labeling/predict.py:50-71.
+                      that walk read off the text.
 * ``assemble_spo``  — M13 cartesian sub x obj -> SPO dicts,
                       labeling/predict.py:74-81.
 * ``normalize_entity`` — M14 eval normal form (lower + 《》 strip),
@@ -140,32 +141,41 @@ def tags_for_pairs(
     return marks
 
 
-def decode_tags(labels: list[str], text: str) -> tuple[list[str], list[str]]:
-    """Tag sequence -> (subject strings, object strings).
+def tag_spans(labels: list[str]) -> list[tuple[str, int, int]]:
+    """Tag sequence -> ordered (role, start, end) spans, end inclusive:
+    the one BIESO span walk, shared by the span decoder and the span-F1
+    metric (fastNLP's SpanFPreRecMetric, labeling/train.py:78).
 
-    Reference semantics (labeling/predict.py:50-71): S- emits a singleton;
-    B- records the start; E- emits text[start:end+1]; I- is skipped.  The
-    reference reads an unset start on a dangling E (NameError in degenerate
-    input); we skip a dangling E instead — unreachable for tags produced by
-    ``bieso_tags``/a constrained CRF, asserted divergence documented here.
+    Reference semantics (labeling/predict.py:50-71): S emits a singleton;
+    B records the start; E emits start..E and consumes the start; I is
+    skipped.  The reference reads an unset start on a dangling E
+    (NameError in degenerate input); we skip a dangling E instead —
+    unreachable for tags produced by ``bieso_tags``/a constrained CRF,
+    asserted divergence documented here.
     """
-    subs: list[str] = []
-    objs: list[str] = []
+    spans: list[tuple[str, int, int]] = []
     start: int | None = None
     for i, lab in enumerate(labels):
         if lab == TAG_O:
             continue
         head = lab[0]
         if head == "S":
-            (subs if "SUB" in lab else objs).append(text[i])
+            spans.append((lab[2:], i, i))
         elif head == "B":
             start = i
-        elif head == "E":
-            if start is None:
-                continue  # dangling E (see docstring)
-            span = text[start : i + 1]
-            (subs if "SUB" in lab else objs).append(span)
+        elif head == "E" and start is not None:
+            spans.append((lab[2:], start, i))
             start = None
+    return spans
+
+
+def decode_tags(labels: list[str], text: str) -> tuple[list[str], list[str]]:
+    """M12: tag sequence -> (subject strings, object strings), the
+    ``tag_spans`` walk read off ``text``."""
+    subs: list[str] = []
+    objs: list[str] = []
+    for role, start, end in tag_spans(labels):
+        (subs if "SUB" in role else objs).append(text[start : end + 1])
     return subs, objs
 
 

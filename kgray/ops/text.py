@@ -94,10 +94,6 @@ def add_langid(batch: pa.Table, text_col: str = "text",
     return batch.append_column(out_col, pa.array(best, pa.string()))
 
 
-_FP_BASE = np.uint64(1099511628211)
-_FP_OFFSET = np.uint64(14695981039346656037)
-
-
 def fingerprint64(s: str) -> int:
     """FNV-1a rolling document fingerprint (declared, deterministic).
     Inherently a sequential fold per doc; runs on plain python ints (a
@@ -106,13 +102,6 @@ def fingerprint64(s: str) -> int:
     for b in s.encode():
         h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
     return h
-
-
-def add_fingerprint(batch: pa.Table, text_col: str = "text",
-                    out_col: str = "fingerprint") -> pa.Table:
-    s = batch[text_col].to_pylist()
-    fps = np.fromiter((fingerprint64(x) for x in s), np.uint64, len(s))
-    return batch.append_column(out_col, pa.array(fps.astype(np.int64)))
 
 
 def simhash64(tokens: list[str]) -> int:
@@ -170,13 +159,6 @@ def simhash64_batch(token_lists: list[list[str]]) -> np.ndarray:
     pos = (acc > 0).astype(np.uint64)
     out = (pos << shifts[None, :]).sum(axis=1, dtype=np.uint64)
     return out
-
-
-def add_simhash(batch: pa.Table, text_col: str = "text",
-                out_col: str = "simhash") -> pa.Table:
-    s = batch[text_col].to_pylist()
-    hs = simhash64_batch([x.split(" ") for x in s])
-    return batch.append_column(out_col, pa.array(hs.astype(np.int64)))
 
 
 # ---------------------------------------------------------------------------

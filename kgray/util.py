@@ -198,7 +198,7 @@ def _as_arrow(out):
 
 
 def grouped_map(ds, key: str, fn, num_buckets: int | None = None,
-                drop_key_bucket=True, coalesce: bool = True):
+                coalesce: bool = True):
     """Coarse-bucket groupby: hash ``key`` into ``num_buckets`` buckets,
     ONE shuffle on the bucket (``_bucket_shuffle``), and ``fn`` (pandas
     DataFrame -> pandas DataFrame) applied once per BUCKET — the caller

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 import ray.data as rd
 
 from kgray import io
@@ -89,3 +90,17 @@ def test_read_parquet_clean_unifies_file_schemas(tmp_path, ray_session):
     only_y = io.read_parquet_clean(str(tmp_path), columns=["y"]).to_pandas()
     assert sorted(only_y["y"].dropna().tolist()) == ["z"]
     assert len(only_y) == 3
+
+
+def test_read_parquet_clean_refuses_type_conflict(tmp_path, ray_session):
+    """Two files typing one column differently raise a ValueError that
+    names the column and both files, as write_partitioned refuses such a
+    write — never a Dataset whose schema() disagrees with its rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"a": [1, 2]}), str(tmp_path / "f1.parquet"))
+    pq.write_table(pa.table({"a": ["x", "y"]}), str(tmp_path / "f2.parquet"))
+    with pytest.raises(ValueError, match=r"'a' is int64 in .*f1\.parquet "
+                       r"but string in .*f2\.parquet"):
+        io.read_parquet_clean(str(tmp_path))

@@ -226,3 +226,15 @@ def test_bucket_of_multi_invariances(ints, strs, buckets):
             }
         )
         assert (bucket_of_multi(t4, ["a", "b"], buckets) == got).all()
+
+
+@given(st.lists(st.lists(st.text(alphabet="ab甲乙 x", max_size=6), max_size=8),
+                max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_simhash64_batch_matches_scalar(token_lists):
+    """The vectorized SimHash equals the scalar reference row by row,
+    empty token lists and empty tokens included."""
+    from kgray.ops.text import simhash64, simhash64_batch
+
+    got = simhash64_batch(token_lists)
+    assert [int(h) for h in got] == [simhash64(t) for t in token_lists]
